@@ -4,10 +4,11 @@ Not a paper table: this tracks the throughput of the coding primitives
 (bit packing, Rice, Huffman, RLE) in Msymbols/s so that the perf trajectory
 of the codec hot path is visible from PR to PR.  Each test times the fast
 path with pytest-benchmark and writes a JSON record (including the measured
-speedup over the ``*_scalar`` reference implementation, and — for the
-decoders — the ``turbo`` tier's decode-only speedup over ``fast``) to
-``benchmarks/reports/``.  The turbo Huffman decode carries a hard gate:
-at least 2x over the fast decoder at 262144 symbols.
+speedup over the ``*_scalar`` reference implementation, the ``turbo``
+Huffman decode's speedup over ``fast``, and the planar Rice block's decode
+speedup over the legacy interleaved block) to ``benchmarks/reports/``.  The
+turbo Huffman decode carries a hard gate: at least 2x over the fast decoder
+at 262144 symbols.
 """
 
 import time
@@ -24,10 +25,10 @@ from repro.coding.huffman import (
 )
 from repro.coding.rice import (
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
     rice_encode,
-    rice_encode_scalar,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
 )
 from repro.coding.rle import rle_decode, rle_decode_arrays, rle_encode, rle_encode_arrays
 
@@ -107,19 +108,29 @@ def test_rice_throughput(benchmark, save_json_record):
     symbols = (rng.geometric(0.2, size=N_SYMBOLS) - 1).astype(np.int64)
 
     def roundtrip():
-        return rice_decode_array(rice_encode(symbols))
+        return rice_decode_array(rice_encode_planar(symbols))
 
     out = benchmark(roundtrip)
     assert np.array_equal(out, symbols)
     _, fast_s = _time_once(roundtrip)
-    blob = rice_encode(symbols)
-    _, scalar_s = _time_once(lambda: rice_decode_scalar(rice_encode_scalar(symbols)))
-    assert rice_encode_scalar(symbols) == blob
-    # Decode-only tier comparison on the same stream (turbo is decode-side).
-    _, fast_decode_s, turbo_out, turbo_decode_s = _compare_decoders(
-        rice_decode_array, rice_decode_array_turbo, blob
+    planar = rice_encode_planar(symbols)
+    _, scalar_s = _time_once(
+        lambda: rice_decode_scalar(rice_encode_planar_scalar(symbols))
     )
-    assert np.array_equal(turbo_out, symbols)
+    assert rice_encode_planar_scalar(symbols) == planar
+    # Decode-only layout comparison on the same symbols: the legacy
+    # interleaved block (pointer-jumping over its zeros) against the planar
+    # block the codecs write.
+    interleaved = rice_encode(symbols)
+    interleaved_out, interleaved_decode_s, planar_out, planar_decode_s = (
+        _compare_decoders(
+            lambda _: rice_decode_array(interleaved),
+            lambda _: rice_decode_array(planar),
+            None,
+        )
+    )
+    assert np.array_equal(interleaved_out, symbols)
+    assert np.array_equal(planar_out, symbols)
     save_json_record(
         "coding_engine_rice",
         {
@@ -128,10 +139,12 @@ def test_rice_throughput(benchmark, save_json_record):
             "scalar_seconds": scalar_s,
             "speedup": scalar_s / fast_s if fast_s else float("inf"),
             "fast_msymbols_per_s": N_SYMBOLS / fast_s / 1e6,
-            "fast_decode_seconds": fast_decode_s,
-            "turbo_decode_seconds": turbo_decode_s,
-            "turbo_decode_speedup": fast_decode_s / turbo_decode_s,
-            "turbo_decode_msymbols_per_s": N_SYMBOLS / turbo_decode_s / 1e6,
+            "planar_bytes": len(planar),
+            "interleaved_bytes": len(interleaved),
+            "interleaved_decode_seconds": interleaved_decode_s,
+            "planar_decode_seconds": planar_decode_s,
+            "planar_decode_speedup": interleaved_decode_s / planar_decode_s,
+            "planar_decode_msymbols_per_s": N_SYMBOLS / planar_decode_s / 1e6,
         },
     )
 

@@ -256,16 +256,19 @@ class HotFrameCache:
 # Wire helpers
 # ---------------------------------------------------------------------------
 
-def frame_to_wire(frame: np.ndarray) -> Tuple[str, Tuple[int, ...], bytes]:
-    """A decoded frame as ``(dtype_str, shape, little-endian bytes)``.
+def frame_to_wire(frame: np.ndarray) -> Tuple[str, Tuple[int, ...], memoryview]:
+    """A decoded frame as ``(dtype_str, shape, little-endian byte view)``.
 
     The HTTP body is the raw C-order pixel buffer; dtype and shape ride in
     response headers, so a client rebuilds the exact array (and the test
-    suite proves byte identity against a direct reader decode).
+    suite proves byte identity against a direct reader decode).  The body
+    is a flat byte view of the (little-endian, C-order) pixels rather than
+    a copy: a cached frame goes to the socket without a per-request copy
+    of its buffer.
     """
     array = np.ascontiguousarray(frame)
     little = array.astype(array.dtype.newbyteorder("<"), copy=False)
-    return little.dtype.str, tuple(array.shape), little.tobytes()
+    return little.dtype.str, tuple(array.shape), memoryview(little).cast("B")
 
 
 def parse_range(value: str, size: int) -> Tuple[int, int]:
@@ -988,7 +991,7 @@ class ArchiveHTTPServer:
 
     # -- responses ----------------------------------------------------------------------
     @staticmethod
-    def _render(
+    def _render_head(
         status: int,
         headers: Dict[str, str],
         body: bytes,
@@ -1000,7 +1003,7 @@ class ArchiveHTTPServer:
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         lines.extend(f"{name}: {value}" for name, value in headers.items())
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
 
     async def _send(
         self,
@@ -1011,7 +1014,10 @@ class ArchiveHTTPServer:
         keep_alive: bool,
     ) -> None:
         self.service.note_response(status)
-        writer.write(self._render(status, headers, body, keep_alive))
+        # Head and body go out as two writes: joining them would copy every
+        # frame body once more per response.
+        writer.write(self._render_head(status, headers, body, keep_alive))
+        writer.write(body)
         await writer.drain()
 
     async def _send_error(

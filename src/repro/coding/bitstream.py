@@ -120,6 +120,12 @@ class BitReader:
         """Read a ``width``-bit unsigned integer (MSB first)."""
         if width < 0:
             raise ValueError("width must be non-negative")
+        first, offset = divmod(self._position, 8)
+        end = first + width // 8
+        if not offset and not width % 8 and end <= len(self._data):
+            # Whole bytes at a byte boundary (every archive meta field).
+            self._position += width
+            return int.from_bytes(self._data[first:end], "big")
         value = 0
         for _ in range(width):
             value = (value << 1) | self.read_bit()

@@ -41,10 +41,9 @@ from ..fxdwt.transform import FixedPointDWT, FixedPointPyramid
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
-    rice_encode,
-    rice_encode_scalar,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
 )
 from .rle import (
     LITERAL,
@@ -142,11 +141,10 @@ class LosslessWaveletCodec:
         Optional word-length plan override for the underlying transform.
     engine:
         Entropy-coding implementation tier: ``"fast"`` (vectorised),
-        ``"scalar"`` (the bit-by-bit reference) or ``"turbo"`` (prefix-LUT /
-        bit-window decoding; encoding reuses the fast encoders).  All tiers
-        produce byte-identical streams; any engine decodes any other's
-        output.  ``None`` (the default) resolves through
-        :func:`repro.coding.spec.default_engine`.
+        ``"scalar"`` (the bit-by-bit reference) or ``"turbo"`` (whose Rice
+        coders are the fast ones).  All tiers produce byte-identical
+        streams; any engine decodes any other's output.  ``None`` (the
+        default) resolves through :func:`repro.coding.spec.default_engine`.
     """
 
     def __init__(
@@ -257,17 +255,15 @@ class LosslessWaveletCodec:
         return self.encode_pyramid(pyramid, image.shape)
 
     def _rice_encode(self, symbols: np.ndarray) -> bytes:
-        # The turbo tier is decode-side: its encoders are the fast ones.
+        # Turbo's Rice coders are the fast ones.
         if self.engine == "scalar":
-            return rice_encode_scalar(symbols)
-        return rice_encode(symbols)
+            return rice_encode_planar_scalar(symbols)
+        return rice_encode_planar(symbols)
 
     def _rice_decode(self, payload: bytes) -> np.ndarray:
-        if self.engine == "turbo":
-            return rice_decode_array_turbo(payload)
-        if self.engine == "fast":
-            return rice_decode_array(payload)
-        return np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+        if self.engine == "scalar":
+            return np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+        return rice_decode_array(payload)
 
     def _encode_band(
         self, kind: str, scale: int, band: np.ndarray, allow_rle: bool

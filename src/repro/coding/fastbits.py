@@ -17,21 +17,17 @@ byte exactly like ``BitWriter.getvalue``.
 
 Sequential decoding without Python loops
 ----------------------------------------
-Variable-length codes (unary/Rice, Huffman) have a sequential dependency: the
-start of symbol ``i + 1`` depends on the length of symbol ``i``.  The decoders
-break that dependency with :func:`orbit`, which follows a precomputed
-"successor" array through pointer doubling — ``O(n log n)`` array gathers
-instead of ``O(total bits)`` Python iterations.
+Variable-length codes (interleaved Rice, Huffman) have a sequential
+dependency: the start of symbol ``i + 1`` depends on the length of symbol
+``i``.  The decoders break that dependency with :func:`orbit`, which follows
+a precomputed "successor" array through pointer doubling — ``O(n log n)``
+array gathers instead of ``O(total bits)`` Python iterations.  (Planar Rice
+blocks keep quotient boundaries in a plane of their own and need no walk.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - optional compiled tier (numba is not a dependency)
-    from numba import njit as _njit
-except Exception:  # pragma: no cover - the numpy paths are the supported tier
-    _njit = None
 
 __all__ = [
     "pack_bits",
@@ -132,9 +128,9 @@ def bit_windows64(data) -> np.ndarray:
     first), zero-padded past the end — so
     ``(windows[p >> 3] << (p & 7)) >> (64 - w)`` peeks the ``w``-bit
     big-endian field at *any* bit position ``p`` (``w <= 57``) with two
-    gathers.  The turbo decoders use this to read every candidate code word
-    or remainder field of a block in one vector expression instead of one
-    shift/or pass per bit.  Accepts anything :func:`numpy.frombuffer` does
+    gathers.  The turbo Huffman decoder uses this to read every candidate
+    code word of a block in one vector expression instead of one shift/or
+    pass per bit.  Accepts anything :func:`numpy.frombuffer` does
     (``bytes``, ``bytearray``, ``memoryview`` — no copy of the input).
     """
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -153,21 +149,6 @@ def bit_windows64(data) -> np.ndarray:
 _ORBIT_BLOCK = 32
 
 
-if _njit is not None:  # pragma: no cover - exercised only when numba is installed
-
-    @_njit(cache=True)
-    def _orbit_walk_jit(successor, start, count):  # type: ignore[misc]
-        out = np.empty(count, dtype=np.int64)
-        position = start
-        for i in range(count):
-            out[i] = position
-            position = successor[position]
-        return out
-
-else:
-    _orbit_walk_jit = None
-
-
 def orbit(successor: np.ndarray, start: int, count: int) -> np.ndarray:
     """First ``count`` iterates of ``t[0] = start, t[i+1] = successor[t[i]]``.
 
@@ -181,10 +162,6 @@ def orbit(successor: np.ndarray, start: int, count: int) -> np.ndarray:
     if count <= 0:
         return np.zeros(0, dtype=np.int64)
     successor = np.asarray(successor)
-    if _orbit_walk_jit is not None:  # pragma: no cover - optional numba tier
-        # Same walk, compiled: the cache-JIT'd kernel beats the blocked jump
-        # table outright, and its output is identical by construction.
-        return _orbit_walk_jit(np.ascontiguousarray(successor), start, count)
     if count <= 4 * _ORBIT_BLOCK:
         out = np.empty(count, dtype=np.int64)
         position = start

@@ -8,28 +8,42 @@ the mean of the symbols; :func:`optimal_rice_parameter` picks it per block
 from a single ``(symbols x k)`` cost matrix (exact — Rice code lengths are
 ``(s >> k) + 1 + k``, no re-encoding needed).
 
-Two implementations of the block coder are provided:
+A block is stored in one of two self-describing layouts, told apart by
+bit 7 of the first byte:
 
-* :func:`rice_encode` / :func:`rice_decode` — vectorised NumPy paths built on
-  :mod:`repro.coding.fastbits` (unary runs via ``np.repeat``, sequential
-  decode via pointer doubling over the stream's zero positions), and
-* :func:`rice_encode_scalar` / :func:`rice_decode_scalar` — the original
-  bit-by-bit reference implementations, kept for validation (mirroring the
-  ``analysis_convolve`` / ``analysis_convolve_scalar`` idiom of the DWT).
+* **planar** (what every codec writes) —
+  ``0x80 | k (8 bits) | count (32 bits) | remainder plane | unary plane``.
+  The remainder plane holds the ``count`` ``k``-bit remainders MSB-first,
+  zero-padded to a byte; the unary plane holds the ``count`` quotients
+  (``q`` ones then a zero), zero-padded to a byte.  Control and data travel
+  in separate lanes, so the zeros of the unary plane alone mark symbol
+  boundaries and decoding needs no sequential walk: ``flatnonzero`` +
+  ``diff`` give the quotients and one fixed-width unpack the remainders.
+  Written by :func:`rice_encode_planar` (vectorised) and
+  :func:`rice_encode_planar_scalar` (bit-by-bit reference).
+* **interleaved** (read-only legacy) —
+  ``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``,
+  each code's unary quotient directly followed by its remainder.
+  :func:`rice_encode` / :func:`rice_encode_scalar` still mint it so the
+  pinned golden vectors and the read-compat tests can reproduce archives
+  written before the planar layout existed.
 
-Both produce **byte-identical** streams; the wire format is
-``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``.
+Every decoder — :func:`rice_decode_array` / :func:`rice_decode` (vectorised)
+and :func:`rice_decode_scalar` (bit-by-bit reference) — accepts both
+layouts.  The vectorised interleaved decode resolves the "where does the
+next code start" dependency by pointer doubling over the stream's zero
+positions (:func:`~repro.coding.fastbits.orbit`).  The fast and scalar
+encoders of each layout produce **byte-identical** streams.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bitstream import BitReader, BitWriter
 from .fastbits import (
-    bit_windows64,
     orbit,
     pack_bits,
     pack_uint_fields,
@@ -42,12 +56,15 @@ __all__ = [
     "rice_encode_value",
     "rice_decode_value",
     "rice_encode",
+    "rice_encode_planar",
+    "rice_encode_planar_scalar",
     "rice_decode",
     "rice_decode_array",
     "rice_decode_array_turbo",
     "rice_decode_turbo",
     "rice_encode_scalar",
     "rice_decode_scalar",
+    "is_planar_block",
     "rice_code_length",
     "rice_cost_matrix",
     "optimal_rice_parameter",
@@ -55,6 +72,18 @@ __all__ = [
 
 #: Largest Rice parameter considered by the optimiser (32-bit symbols).
 MAX_RICE_PARAMETER = 30
+#: Bit 7 of a block's first byte: set for the planar layout, whose low
+#: seven bits then hold ``k``.  Interleaved blocks store ``k <= 30`` there,
+#: so the bit is always clear in them.
+PLANAR_FLAG = 0x80
+#: Bytes of the ``k | count`` header shared by both layouts.
+_HEADER_BYTES = 5
+
+
+def _check_parameter(k: int) -> None:
+    if not 0 <= k <= MAX_RICE_PARAMETER:
+        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
+
 
 def _as_symbol_array(symbols) -> np.ndarray:
     """Coerce a symbol block to ``int64`` without per-element Python loops."""
@@ -74,8 +103,7 @@ def rice_encode_value(writer: BitWriter, value: int, k: int) -> None:
     """Append the Rice code of one non-negative ``value`` with parameter ``k``."""
     if value < 0:
         raise ValueError("Rice codes encode non-negative integers")
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
+    _check_parameter(k)
     quotient = value >> k
     writer.write_unary(quotient)
     if k:
@@ -84,8 +112,7 @@ def rice_encode_value(writer: BitWriter, value: int, k: int) -> None:
 
 def rice_decode_value(reader: BitReader, k: int) -> int:
     """Read one Rice-coded value with parameter ``k``."""
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
+    _check_parameter(k)
     quotient = reader.read_unary()
     remainder = reader.read_uint(k) if k else 0
     return (quotient << k) | remainder
@@ -134,25 +161,156 @@ def optimal_rice_parameter(symbols, max_k: int = MAX_RICE_PARAMETER) -> int:
     return int(np.argmin(rice_cost_matrix(arr, max_k)))
 
 
+def _prepare_block(symbols, k: Optional[int]) -> Tuple[np.ndarray, int]:
+    """Validated ``int64`` symbols and the (optimal, if unset) parameter."""
+    arr = _as_symbol_array(symbols)
+    _check_non_negative(arr)
+    if k is None:
+        k = optimal_rice_parameter(arr)
+    _check_parameter(k)
+    return arr, k
+
+
 # ---------------------------------------------------------------------------
-# Vectorised block coder
+# Planar block coder (the layout every codec writes)
+# ---------------------------------------------------------------------------
+#
+# Eight k-bit remainders fill exactly k bytes, so remainder j of every such
+# group sits at the same bit offset j * k inside its group.  Column j of the
+# (groups x 8) remainder matrix is therefore written to / read from the
+# byte columns ``plane[first + i :: k]`` with shifts that are constants for
+# the column: 8 columns x at most 5 strided byte passes, no per-symbol
+# gather or scatter.
+
+
+def _remainder_columns(k: int) -> List[Tuple[int, int, int]]:
+    """``(first byte, bit offset, bytes spanned)`` of remainder ``j`` of a group."""
+    return [
+        ((j * k) >> 3, (j * k) & 7, ((j * k & 7) + k + 7) >> 3) for j in range(8)
+    ]
+
+
+def _pack_remainders(remainders: np.ndarray, k: int) -> bytes:
+    """The remainder plane: ``k``-bit fields MSB-first, zero-padded to a byte."""
+    count = remainders.size
+    groups = -(-count // 8)
+    fields = np.zeros(8 * groups, dtype=np.uint64)
+    fields[:count] = remainders
+    fields = fields.reshape(groups, 8)
+    plane = np.zeros(groups * k, dtype=np.uint8)
+    for column, (first, bit, width) in enumerate(_remainder_columns(k)):
+        window = fields[:, column] << np.uint64(8 * width - k - bit)
+        for i in range(width):
+            # The uint8 cast keeps the low byte of the shifted window.
+            plane[first + i :: k] |= (
+                window >> np.uint64(8 * (width - 1 - i))
+            ).astype(np.uint8)
+    return plane[: -(-count * k // 8)].tobytes()
+
+
+def _unpack_remainders(plane: np.ndarray, count: int, k: int) -> np.ndarray:
+    """Inverse of :func:`_pack_remainders` (``plane`` holds whole bytes)."""
+    groups = -(-count // 8)
+    padded = np.zeros(groups * k, dtype=np.uint8)
+    padded[: plane.size] = plane
+    fields = np.empty((groups, 8), dtype=np.int64)
+    mask = np.uint64((1 << k) - 1)
+    for column, (first, bit, width) in enumerate(_remainder_columns(k)):
+        window = padded[first::k].astype(np.uint64)
+        for i in range(1, width):
+            window = (window << np.uint64(8)) | padded[first + i :: k]
+        fields[:, column] = (window >> np.uint64(8 * width - k - bit)) & mask
+    return fields.reshape(-1)[:count]
+
+
+def rice_encode_planar(symbols, k: Optional[int] = None) -> bytes:
+    """Encode a block of non-negative symbols in the planar layout.
+
+    ``0x80 | k`` (one byte) and the symbol count (four bytes) head the
+    block, followed by the remainder plane and the unary plane, each
+    zero-padded to a byte.  The remainder plane's size follows from the
+    header, so no length field is stored, and the block is at most one
+    byte longer than the interleaved :func:`rice_encode` of the same
+    symbols.  Vectorised: remainders are packed column-wise (see
+    :func:`_pack_remainders`), the unary plane is all ones with a zero
+    scattered at every quotient's end, and each plane is flushed with one
+    ``np.packbits``.
+    """
+    arr, k = _prepare_block(symbols, k)
+    header = pack_bits(pack_uint_fields([PLANAR_FLAG | k, arr.size], [8, 32]))
+    if arr.size == 0:
+        return header
+    remainders = _pack_remainders(arr & ((1 << k) - 1), k) if k else b""
+    terminators = np.cumsum((arr >> k) + 1) - 1
+    unary = np.ones(int(terminators[-1]) + 1, dtype=np.uint8)
+    unary[terminators] = 0
+    return header + remainders + pack_bits(unary)
+
+
+def _planar_header(raw: np.ndarray) -> Tuple[int, int, int]:
+    """``(k, count, end of the remainder plane)`` of a planar block.
+
+    The declared count is checked against the bytes actually present
+    before anything is sized from it: the remainder plane must fit, and
+    the unary plane must hold at least one bit per symbol.  A hostile
+    count therefore fails in constant time and memory.
+    """
+    if raw.size < _HEADER_BYTES:
+        raise EOFError("bitstream exhausted")
+    k = int(raw[0]) & ~PLANAR_FLAG
+    _check_parameter(k)
+    count = int.from_bytes(raw[1:_HEADER_BYTES].tobytes(), "big")
+    remainder_end = _HEADER_BYTES + -(-count * k // 8)
+    if remainder_end > raw.size:
+        raise EOFError(
+            f"planar Rice block declares {count} symbols but its remainder "
+            f"plane is truncated ({raw.size - _HEADER_BYTES} of "
+            f"{remainder_end - _HEADER_BYTES} bytes)"
+        )
+    if count > 8 * (raw.size - remainder_end):
+        raise EOFError(
+            f"planar Rice block declares {count} symbols but its unary plane "
+            f"holds only {8 * (raw.size - remainder_end)} bits"
+        )
+    return k, count, remainder_end
+
+
+def _decode_planar(raw: np.ndarray) -> np.ndarray:
+    """Vectorised planar decode: quotient ends are the unary plane's zeros."""
+    k, count, remainder_end = _planar_header(raw)
+    terminators = np.flatnonzero(np.unpackbits(raw[remainder_end:]) == 0)[:count]
+    if terminators.size < count:
+        raise EOFError("bitstream exhausted")
+    quotients = np.diff(terminators, prepend=-1) - 1
+    if k == 0:
+        return quotients
+    remainders = _unpack_remainders(raw[_HEADER_BYTES:remainder_end], count, k)
+    return (quotients << k) | remainders
+
+
+def is_planar_block(data) -> bool:
+    """Whether a Rice block uses the planar layout (bit 7 of its first byte)."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return bool(raw.size) and bool(raw[0] & PLANAR_FLAG)
+
+
+# ---------------------------------------------------------------------------
+# Interleaved block coder (read-only legacy layout)
 # ---------------------------------------------------------------------------
 
 def rice_encode(symbols, k: Optional[int] = None) -> bytes:
-    """Encode a block of non-negative symbols; returns ``header + payload``.
+    """Encode a block in the legacy interleaved layout.
 
     The chosen parameter (one byte) and the symbol count (four bytes) are
     stored in front of the payload so that :func:`rice_decode` is
     self-contained.  Vectorised: the unary quotients become ragged runs of
     ones placed with ``np.repeat``, the remainders are filled one bit-plane
     at a time, and the whole stream is flushed with one ``np.packbits``.
+    Codecs write :func:`rice_encode_planar`; this encoder mints the
+    interleaved streams that archives written before the planar layout
+    hold.
     """
-    arr = _as_symbol_array(symbols)
-    _check_non_negative(arr)
-    if k is None:
-        k = optimal_rice_parameter(arr)
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
+    arr, k = _prepare_block(symbols, k)
     header = pack_uint_fields([k, arr.size], [8, 32])
     if arr.size == 0:
         return pack_bits(header)
@@ -188,8 +346,8 @@ def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
     return skipped
 
 
-def rice_decode_array(data: bytes) -> np.ndarray:
-    """Vectorised inverse of :func:`rice_encode`, returning an ``int64`` array.
+def _decode_interleaved(data) -> np.ndarray:
+    """Vectorised decode of an interleaved block.
 
     The sequential "where does the next code start" dependency is solved on
     the stream's zero positions: zero ``j`` terminates a quotient, and the
@@ -200,8 +358,7 @@ def rice_decode_array(data: bytes) -> np.ndarray:
     bits = unpack_bits(data)
     k = read_uint(bits, 0, 8)
     count = read_uint(bits, 8, 32)
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
+    _check_parameter(k)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     nbits = bits.size
@@ -243,105 +400,48 @@ def rice_decode_array(data: bytes) -> np.ndarray:
     return (quotients << k) | remainders
 
 
-#: Turbo switches the quotient-terminator scan from the per-distance compare
-#: loop (O(k) passes over the zeros) to one ones-cumsum plus two gathers
-#: once the parameter makes the loop the longer pass (the cumsum costs one
-#: pass over the *bits*, so small parameters stay on the compare loop).
-_TURBO_CUMSUM_MIN_K = 17
-#: Turbo reads remainders through 64-bit windows (two gathers) instead of
-#: one bit-plane pass per remainder bit from this parameter up.
-_TURBO_WINDOW_MIN_K = 6
+def rice_decode_array(data) -> np.ndarray:
+    """Decode a block of either layout to an ``int64`` array.
 
-
-def rice_decode_array_turbo(data) -> np.ndarray:
-    """Inverse of :func:`rice_encode` (turbo tier, ``int64`` array result).
-
-    Byte-compatible with :func:`rice_decode_array` but parameter-adaptive:
-    for large ``k`` the quotient terminators are located with a single
-    cumulative count of zeros over the whole stream (``skipped[j]`` becomes a
-    difference of two cumsum gathers, independent of ``k``), and the ``k``
-    remainder bits of every symbol are extracted from 64-bit bit windows
-    (:func:`~repro.coding.fastbits.bit_windows64`) in one vector expression
-    instead of one bit-plane pass per bit.  Small parameters keep the fast
-    tier's passes, which are cheaper there.  Accepts ``bytes`` or
-    ``memoryview`` input.
+    The flag bit of the first byte picks the planar or the interleaved
+    path.  Accepts ``bytes`` or ``memoryview`` input.
     """
-    bits = unpack_bits(data)
-    k = read_uint(bits, 0, 8)
-    count = read_uint(bits, 8, 32)
-    if not 0 <= k <= MAX_RICE_PARAMETER:
-        raise ValueError(f"Rice parameter {k} outside [0, {MAX_RICE_PARAMETER}]")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    nbits = bits.size
-    start = 40
-    if start >= nbits:
-        raise EOFError("bitstream exhausted")
-    zero_positions = np.flatnonzero(bits == 0).astype(np.int32)
-    nzeros = zero_positions.size
-    first = int(np.searchsorted(zero_positions, start))
-    if first >= nzeros:
-        raise EOFError("bitstream exhausted")
-    if k == 0:
-        terminator_idx = first + np.arange(count, dtype=np.int64)
-        if int(terminator_idx[-1]) >= nzeros:
-            raise EOFError("bitstream exhausted")
-    else:
-        if k < _TURBO_CUMSUM_MIN_K:
-            skipped = _skipped_zero_counts(zero_positions, k)
-        else:
-            # The zeros skipped after zero j are the zeros in
-            # (position[j], position[j] + k]: window length minus the ones
-            # in it, off one cumulative count of the stream's one bits —
-            # one pass over the bits regardless of k, where the compare
-            # loop above takes k passes over the zeros.
-            ones_up_to = np.cumsum(bits, dtype=np.int32)
-            window_end = np.minimum(zero_positions + np.int32(k), np.int32(nbits - 1))
-            skipped = (window_end - zero_positions) - (
-                ones_up_to[window_end] - ones_up_to[zero_positions]
-            )
-        successor = np.minimum(
-            np.arange(1, nzeros + 1, dtype=np.int32) + skipped, nzeros - 1
-        )
-        terminator_idx = orbit(successor, first, count)
-        if count > 1 and np.any(np.diff(terminator_idx) <= 0):
-            raise EOFError("bitstream exhausted")
-    terminators = zero_positions[terminator_idx].astype(np.int64)
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = start
-    starts[1:] = terminators[:-1] + 1 + k
-    quotients = terminators - starts
-    if k == 0:
-        return quotients
-    if int(terminators[-1]) + k >= nbits:
-        raise EOFError("bitstream exhausted")
-    if k >= _TURBO_WINDOW_MIN_K:
-        windows = bit_windows64(data)
-        remainder_pos = terminators + 1
-        remainders = (
-            (windows[remainder_pos >> 3] << (remainder_pos & 7).astype(np.uint64))
-            >> np.uint64(64 - k)
-        ).astype(np.int64)
-    else:
-        remainders = np.zeros(count, dtype=np.int64)
-        for plane in range(k):
-            remainders = (remainders << 1) | bits[terminators + 1 + plane]
-    return (quotients << k) | remainders
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if is_planar_block(raw):
+        return _decode_planar(raw)
+    return _decode_interleaved(data)
 
 
-def rice_decode_turbo(data) -> List[int]:
-    """Inverse of :func:`rice_encode` (turbo tier, list-of-int API)."""
-    return rice_decode_array_turbo(data).tolist()
-
-
-def rice_decode(data: bytes) -> List[int]:
-    """Inverse of :func:`rice_encode` (list-of-int API)."""
+def rice_decode(data) -> List[int]:
+    """Decode a block of either layout (list-of-int API)."""
     return rice_decode_array(data).tolist()
+
+
+#: The turbo tier's Rice decoders are the fast ones: a separate turbo decode
+#: of interleaved blocks measured 1.005x, and planar blocks leave no
+#: sequential walk to shorten.
+rice_decode_array_turbo = rice_decode_array
+rice_decode_turbo = rice_decode
 
 
 # ---------------------------------------------------------------------------
 # Scalar reference implementations (bit-by-bit, used for validation)
 # ---------------------------------------------------------------------------
+
+def rice_encode_planar_scalar(symbols, k: Optional[int] = None) -> bytes:
+    """Bit-by-bit reference encoder; byte-identical to :func:`rice_encode_planar`."""
+    arr, k = _prepare_block(symbols, k)
+    symbols = arr.tolist()
+    planes = BitWriter()
+    planes.write_uint(PLANAR_FLAG | k, 8)
+    planes.write_uint(len(symbols), 32)
+    for symbol in symbols:
+        planes.write_uint(symbol & ((1 << k) - 1), k)
+    unary = BitWriter()
+    for symbol in symbols:
+        unary.write_unary(symbol >> k)
+    return planes.getvalue() + unary.getvalue()
+
 
 def rice_encode_scalar(symbols, k: Optional[int] = None) -> bytes:
     """Bit-by-bit reference encoder; byte-identical to :func:`rice_encode`."""
@@ -357,8 +457,17 @@ def rice_encode_scalar(symbols, k: Optional[int] = None) -> bytes:
     return writer.getvalue()
 
 
-def rice_decode_scalar(data: bytes) -> List[int]:
-    """Bit-by-bit reference decoder; inverse of both encoders."""
+def rice_decode_scalar(data) -> List[int]:
+    """Bit-by-bit reference decoder of either layout; inverse of every encoder."""
+    if is_planar_block(data):
+        raw = np.frombuffer(data, dtype=np.uint8)
+        k, count, remainder_end = _planar_header(raw)
+        remainders = BitReader(raw[_HEADER_BYTES:remainder_end].tobytes())
+        quotients = BitReader(raw[remainder_end:].tobytes())
+        return [
+            (quotients.read_unary() << k) | remainders.read_uint(k)
+            for _ in range(count)
+        ]
     reader = BitReader(data)
     k = reader.read_uint(8)
     count = reader.read_uint(32)

@@ -33,10 +33,9 @@ import numpy as np
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
-    rice_encode,
-    rice_encode_scalar,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
 )
 
 __all__ = [
@@ -73,19 +72,42 @@ def s_transform_forward_1d(signal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return approx, detail
 
 
-def s_transform_inverse_1d(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`s_transform_forward_1d`."""
+def s_transform_inverse_1d(
+    approx: np.ndarray, detail: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """Inverse of :func:`s_transform_forward_1d` along ``axis`` (default: last).
+
+    The even and odd samples are computed straight into their interleaved
+    slots of the result, so a column step (``axis=0``) needs no transposed
+    copies and no temporaries.
+    """
     approx = np.asarray(approx, dtype=np.int64)
     detail = np.asarray(detail, dtype=np.int64)
     if approx.shape != detail.shape:
         raise ValueError("approximation and detail must have the same shape")
-    even = approx - np.floor_divide(detail, 2)
-    odd = detail + even
-    out_shape = approx.shape[:-1] + (2 * approx.shape[-1],)
-    out = np.zeros(out_shape, dtype=np.int64)
-    out[..., 0::2] = even
-    out[..., 1::2] = odd
+    axis %= approx.ndim
+    shape = list(approx.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=np.int64)
+    even_slots = [slice(None)] * approx.ndim
+    odd_slots = list(even_slots)
+    even_slots[axis] = slice(0, None, 2)
+    odd_slots[axis] = slice(1, None, 2)
+    even = out[tuple(even_slots)]
+    # even = approx - floor(detail / 2): an arithmetic shift is that floor.
+    np.right_shift(detail, 1, out=even)
+    np.subtract(approx, even, out=even)
+    np.add(detail, even, out=out[tuple(odd_slots)])
     return out
+
+
+def _inverse_scale(
+    data: np.ndarray, hg: np.ndarray, gh: np.ndarray, gg: np.ndarray
+) -> np.ndarray:
+    """One synthesis step: columns, then rows (the analysis order reversed)."""
+    row_lo = s_transform_inverse_1d(data, hg, axis=0)
+    row_hi = s_transform_inverse_1d(gh, gg, axis=0)
+    return s_transform_inverse_1d(row_lo, row_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +153,7 @@ def s_transform_inverse_2d(pyramid: STransformPyramid) -> np.ndarray:
     """Inverse of :func:`s_transform_forward_2d`."""
     data = np.asarray(pyramid.approximation, dtype=np.int64)
     for bands in reversed(pyramid.details):
-        row_lo = s_transform_inverse_1d(data.T, bands["HG"].T).T
-        row_hi = s_transform_inverse_1d(bands["GH"].T, bands["GG"].T).T
-        data = s_transform_inverse_1d(row_lo, row_hi)
+        data = _inverse_scale(data, bands["HG"], bands["GH"], bands["GG"])
     return data
 
 
@@ -165,8 +185,8 @@ def s_transform_inverse_roi(
         hg = bands["HG"][in_win[0] : in_win[1]]
         gh = bands["GH"][in_win[0] : in_win[1]]
         gg = bands["GG"][in_win[0] : in_win[1]]
-        row_lo = s_transform_inverse_1d(data.T, hg.T).T
-        row_hi = s_transform_inverse_1d(gh.T, gg.T).T
+        row_lo = s_transform_inverse_1d(data, hg, axis=0)
+        row_hi = s_transform_inverse_1d(gh, gg, axis=0)
         start = out_win[0] - 2 * in_win[0]
         stop = out_win[1] - 2 * in_win[0]
         data = s_transform_inverse_1d(row_lo[start:stop], row_hi[start:stop])
@@ -213,10 +233,10 @@ class STransformCodec:
 
     ``engine`` selects the entropy-coding implementation tier: ``"fast"``
     (the vectorised :mod:`repro.coding.fastbits`-based coder), ``"scalar"``
-    (the bit-by-bit reference) or ``"turbo"`` (bit-window decoding; encoding
-    reuses the fast encoders).  All tiers produce byte-identical streams;
-    any engine decodes any other's output.  ``None`` (the default) resolves
-    through :func:`repro.coding.spec.default_engine`.
+    (the bit-by-bit reference) or ``"turbo"`` (whose Rice coders are the fast
+    ones).  All tiers produce byte-identical streams; any engine decodes any
+    other's output.  ``None`` (the default) resolves through
+    :func:`repro.coding.spec.default_engine`.
     """
 
     def __init__(
@@ -315,13 +335,10 @@ class STransformCodec:
             )
         data = self._get_band(compressed, "HH", self.scales)
         for scale in range(self.scales, at_scale, -1):
-            bands = {
-                kind: self._get_band(compressed, kind, scale)
-                for kind in ("HG", "GH", "GG")
-            }
-            row_lo = s_transform_inverse_1d(data.T, bands["HG"].T).T
-            row_hi = s_transform_inverse_1d(bands["GH"].T, bands["GG"].T).T
-            data = s_transform_inverse_1d(row_lo, row_hi)
+            bands = [
+                self._get_band(compressed, kind, scale) for kind in ("HG", "GH", "GG")
+            ]
+            data = _inverse_scale(data, *bands)
         return data
 
     def decode_roi(self, compressed: CompressedSImage, y0: int, y1: int) -> np.ndarray:
@@ -343,8 +360,10 @@ class STransformCodec:
     ) -> None:
         flat = np.asarray(band, dtype=np.int64).ravel()
         symbols = zigzag_encode(flat)
-        # The turbo tier is decode-side: its encoder is the fast one.
-        encode = rice_encode_scalar if self.engine == "scalar" else rice_encode
+        # Turbo's Rice coders are the fast ones.
+        encode = (
+            rice_encode_planar_scalar if self.engine == "scalar" else rice_encode_planar
+        )
         compressed.chunks[(kind, scale)] = encode(symbols)
         compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))
 
@@ -356,10 +375,8 @@ class STransformCodec:
             shape = compressed.shapes[(kind, scale)]
         except KeyError as exc:
             raise KeyError(f"compressed stream has no subband {kind}@{scale}") from exc
-        if self.engine == "turbo":
-            symbols = rice_decode_array_turbo(payload)
-        elif self.engine == "fast":
-            symbols = rice_decode_array(payload)
-        else:
+        if self.engine == "scalar":
             symbols = np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+        else:
+            symbols = rice_decode_array(payload)
         return zigzag_decode(symbols).reshape(shape)

@@ -51,9 +51,9 @@ __all__ = [
 ]
 
 #: Entropy-coding engine tiers every codec ships: ``"fast"`` (vectorised
-#: NumPy), ``"scalar"`` (bit-by-bit reference) and ``"turbo"`` (prefix-LUT /
-#: bit-window decode; encoding reuses the fast encoders).  All tiers are
-#: byte-identical on the wire.
+#: NumPy), ``"scalar"`` (bit-by-bit reference) and ``"turbo"`` (prefix-LUT
+#: Huffman decode; its Rice coders and every encoder are the fast ones).  All
+#: tiers are byte-identical on the wire.
 ENGINE_NAMES = ("fast", "scalar", "turbo")
 
 #: Accelerator engine implementations (:data:`repro.arch.accelerator.ENGINES`);

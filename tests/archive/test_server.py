@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.archive import MemoryBackend, open_archive
-from repro.archive.server import parse_range, HTTPError
+from repro.archive.server import frame_to_wire, parse_range, HTTPError
 from server_util import (
     HTTPClient,
     build_plain,
@@ -487,3 +487,19 @@ class TestParseRange:
         with pytest.raises(HTTPError) as excinfo:
             parse_range(value, 100)
         assert excinfo.value.status == status
+
+
+class TestFrameToWire:
+    def test_body_is_a_view_of_the_pixels_not_a_copy(self):
+        frame = np.arange(12, dtype="<i8").reshape(3, 4)
+        dtype, shape, body = frame_to_wire(frame)
+        assert (dtype, shape, len(body)) == ("<i8", (3, 4), frame.nbytes)
+        assert bytes(body) == frame.tobytes()
+        assert np.shares_memory(np.frombuffer(body, dtype=dtype), frame)
+
+    def test_big_endian_and_strided_frames_go_out_little_endian_c_order(self):
+        frame = np.arange(12, dtype=">u2").reshape(3, 4).T
+        dtype, shape, body = frame_to_wire(frame)
+        assert (dtype, shape) == ("<u2", (4, 3))
+        rebuilt = np.frombuffer(body, dtype=dtype).reshape(shape)
+        assert np.array_equal(rebuilt, frame)

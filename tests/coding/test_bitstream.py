@@ -80,3 +80,19 @@ class TestBitReader:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             BitReader(bytes(1)).read_bits(-1)
+
+    def test_uint_reads_agree_at_and_off_byte_boundaries(self):
+        widths = [8, 32, 3, 16, 5, 8, 0, 24, 7, 1, 40]
+        values = [(0x9E3779B97F4A7C15 >> w) & ((1 << w) - 1) for w in widths]
+        writer = BitWriter()
+        for value, width in zip(values, widths):
+            writer.write_uint(value, width)
+        reader = BitReader(writer.getvalue())
+        assert [reader.read_uint(width) for width in widths] == values
+        assert reader.bits_remaining < 8
+
+    def test_aligned_uint_past_the_end_raises(self):
+        reader = BitReader(bytes(3))
+        assert reader.read_uint(16) == 0
+        with pytest.raises(EOFError):
+            reader.read_uint(16)

@@ -25,6 +25,8 @@ from repro.coding.rice import (
     rice_decode_scalar,
     rice_decode_turbo,
     rice_encode,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
     rice_encode_scalar,
 )
 from repro.coding.rle import rle_decode_arrays, rle_encode_arrays
@@ -50,6 +52,25 @@ RICE_VECTORS = {
     "k0-unary": ([0, 1, 2, 0, 0, 3, 1, 0], 0, "000000000858e8"),
     "k11-wide": ([1000, 0, 2047, 13, 700, 700], 11, "0b000000063e80007ff00d2bc2bc"),
     "empty": ([], None, "0000000000"),
+}
+
+# Planar layout (what every codec writes): ``0x80 | k``, count, the k-bit
+# remainder plane, then the unary plane, each plane zero-padded to a byte.
+PLANAR_RICE_VECTORS = {
+    "fibonacci": (
+        [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 0, 7, 512, 3, 1, 0],
+        None,
+        "8500000012004432a1b515f3001c03080000ade3fffc00",
+    ),
+    "k0-unary": ([0, 1, 2, 0, 0, 3, 1, 0], 0, "800000000858e8"),
+    "k11-wide": ([1000, 0, 2047, 13, 700, 700], 11, "8b000000067d0003ff80d578af0000"),
+    "k30": (
+        [0, 1, (1 << 30) - 1, 123456789, (1 << 30) + 5, 987654321, 7, 1 << 29, 42],
+        30,
+        "9e00000009000000000000001fffffffc75bcd1500000017ade68b10000001e0"
+        "000000000000a80800",
+    ),
+    "empty": ([], None, "8000000000"),
 }
 
 HUFFMAN_VECTORS = {
@@ -83,6 +104,27 @@ class TestRiceGolden:
     def test_every_tier_decodes_golden_bytes(self, name, engine):
         symbols, _, golden = RICE_VECTORS[name]
         assert RICE_DECODERS[engine](bytes.fromhex(golden)) == symbols
+
+
+class TestPlanarRiceGolden:
+    @pytest.mark.parametrize("name", sorted(PLANAR_RICE_VECTORS))
+    def test_encoders_reproduce_golden_bytes(self, name):
+        symbols, k, golden = PLANAR_RICE_VECTORS[name]
+        array = np.asarray(symbols, dtype=np.int64)
+        assert rice_encode_planar(array, k=k).hex() == golden
+        assert rice_encode_planar_scalar(array, k=k).hex() == golden
+
+    @pytest.mark.parametrize("engine", sorted(RICE_DECODERS))
+    @pytest.mark.parametrize("name", sorted(PLANAR_RICE_VECTORS))
+    def test_every_tier_decodes_golden_bytes(self, name, engine):
+        symbols, _, golden = PLANAR_RICE_VECTORS[name]
+        assert RICE_DECODERS[engine](bytes.fromhex(golden)) == symbols
+
+    @pytest.mark.parametrize("name", sorted(PLANAR_RICE_VECTORS))
+    def test_planar_block_at_most_one_byte_longer(self, name):
+        symbols, k, golden = PLANAR_RICE_VECTORS[name]
+        interleaved = rice_encode(np.asarray(symbols, dtype=np.int64), k=k)
+        assert len(interleaved) <= len(bytes.fromhex(golden)) <= len(interleaved) + 1
 
 
 class TestHuffmanGolden:

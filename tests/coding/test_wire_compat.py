@@ -20,10 +20,13 @@ from repro.coding.huffman import (
 )
 from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import (
+    is_planar_block,
     rice_decode,
     rice_decode_scalar,
     rice_decode_turbo,
     rice_encode,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
     rice_encode_scalar,
 )
 from repro.coding.rle import (
@@ -75,6 +78,45 @@ class TestRiceWireCompat:
         # Turbo's adaptive run-scan/remainder strategies switch on k; every
         # branch must land on the same symbols.
         assert rice_decode_turbo(rice_encode(symbols, k=k)) == symbols.tolist()
+
+
+class TestPlanarRiceWireCompat:
+    @pytest.fixture(params=["random", "geometric", "phantom", "zeros", "empty"])
+    def symbols(self, request, rng):
+        return {
+            "random": rng.integers(0, 4096, size=700),
+            "geometric": rng.geometric(0.1, size=500) - 1,
+            "phantom": _phantom_symbols(),
+            "zeros": np.zeros(300, dtype=np.int64),
+            "empty": np.zeros(0, dtype=np.int64),
+        }[request.param]
+
+    def test_streams_byte_identical(self, symbols):
+        encoded = rice_encode_planar(symbols)
+        assert encoded == rice_encode_planar_scalar(symbols)
+        assert is_planar_block(encoded)
+
+    def test_cross_decode(self, symbols):
+        expected = symbols.tolist()
+        for encode in (rice_encode_planar, rice_encode_planar_scalar):
+            encoded = encode(symbols)
+            for decode in (rice_decode, rice_decode_scalar, rice_decode_turbo):
+                assert decode(encoded) == expected
+
+    def test_at_most_one_byte_longer_than_interleaved(self, symbols):
+        interleaved = len(rice_encode(symbols))
+        assert interleaved <= len(rice_encode_planar(symbols)) <= interleaved + 1
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 11, 18, 26, 30])
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 400])
+    def test_explicit_parameter(self, rng, k, size):
+        # Quotients stay below 8 so the bit-by-bit coders stay quick; sizes
+        # straddle the eight-remainder groups the fast coder packs.
+        symbols = rng.integers(0, 1 << (k + 3), size=size)
+        encoded = rice_encode_planar(symbols, k=k)
+        assert encoded == rice_encode_planar_scalar(symbols, k=k)
+        for decode in (rice_decode, rice_decode_scalar, rice_decode_turbo):
+            assert decode(encoded) == symbols.tolist()
 
 
 class TestHuffmanWireCompat:
@@ -204,3 +246,19 @@ class TestLosslessCodecWireCompat:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             LosslessWaveletCodec("F2", scales=2, engine="simd")
+
+
+class TestCodecsWritePlanarRice:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_chunk_is_planar(self, engine):
+        image = shepp_logan(32)
+        s_stream = STransformCodec(scales=2, engine=engine).encode(image)
+        c_stream = LosslessWaveletCodec(
+            "F2", scales=2, use_rle=True, engine=engine
+        ).encode(image)
+        payloads = list(s_stream.chunks.values())
+        for chunk in c_stream.chunks:
+            payloads.append(chunk.payload)
+            if chunk.use_rle:
+                payloads.append(chunk.run_payload)
+        assert payloads and all(is_planar_block(payload) for payload in payloads)
