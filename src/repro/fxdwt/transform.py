@@ -14,12 +14,25 @@ This is the software model of the arithmetic the paper's datapath performs:
 The cycle-accurate architecture model of :mod:`repro.arch` is validated
 against this transform for bit-exact equality, mirroring the paper's own
 validation of the VHDL model against a software implementation.
+
+Passes are polyphase and in Mallat layout, as the Fig. 3 datapath streams
+them: every sample of a line is read once and feeds both the low-pass and
+the high-pass MAC.  A tap at index ``2*m + p`` reads phase ``p`` (the even
+or odd samples) shifted by ``m``, so each tap is a contiguous slice of one
+circularly extended phase array, and the two filters of a pass share that
+one extension.  A row pass writes ``[lo | hi]``; the column pass over it
+writes ``[[HH, GH], [HG, GG]]``; synthesis runs the same layout backwards.
+Taps sharing a stored coefficient are folded (``c*(a + b)``).  Folding and
+reordering are exact: ``int64`` arithmetic is arithmetic modulo ``2**64``,
+like the §3 64-bit accumulator, so every output word equals the tap-by-tap
+multiply-accumulate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +82,131 @@ def quantize_filter(filt: SymmetricFilter, fmt: QFormat) -> QuantizedFilter:
     return QuantizedFilter(
         name=filt.name, stored_taps=tuple(stored), indices=tuple(indices), fmt=fmt
     )
+
+
+# -- polyphase kernels ---------------------------------------------------------------
+#: One MAC term: a stored coefficient and the ``(source, start)`` slices it
+#: multiplies (several when taps sharing the coefficient are folded).
+_Term = Tuple[int, Tuple[Tuple[int, int], ...]]
+_FilterKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _filter_key(qfilt: QuantizedFilter) -> _FilterKey:
+    # Read per call, not cached on the engine: fault-injection tests
+    # rewrite stored taps after construction.
+    return qfilt.indices, qfilt.stored_taps
+
+
+def _fold(taps: Sequence[Tuple[int, int, int]]) -> Tuple[_Term, ...]:
+    """Group ``(stored, source, start)`` taps by coefficient."""
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for stored, source, start in taps:
+        groups.setdefault(stored, []).append((source, start))
+    return tuple((stored, tuple(slices)) for stored, slices in groups.items())
+
+
+@lru_cache(maxsize=64)
+def _analysis_plan(
+    filters: Tuple[_FilterKey, ...]
+) -> Tuple[int, int, Tuple[Tuple[_Term, ...], ...]]:
+    """``(before, after, terms per filter)`` of one analysis pass.
+
+    Output ``i`` of tap ``idx = 2*m + p`` reads phase ``p`` at ``i + m``,
+    i.e. slice start ``before + m`` of the phase extended circularly by
+    ``before``/``after`` samples.
+    """
+    ms = [idx // 2 for indices, _ in filters for idx in indices]
+    before, after = max(0, -min(ms)), max(0, max(ms))
+    terms = tuple(
+        _fold([(c, idx % 2, before + idx // 2) for idx, c in zip(indices, stored)])
+        for indices, stored in filters
+    )
+    return before, after, terms
+
+
+@lru_cache(maxsize=64)
+def _synthesis_plan(
+    lowpass: _FilterKey, highpass: _FilterKey
+) -> Tuple[int, int, Tuple[Tuple[_Term, ...], Tuple[_Term, ...]]]:
+    """``(before, after, terms per output phase)`` of one synthesis pass.
+
+    Output phase ``p`` at ``j`` takes tap ``idx = 2*m + p`` of source 0
+    (low band) or 1 (high band) at ``j - m``: slice start ``before - m`` of
+    the band extended circularly by ``before``/``after`` samples.
+    """
+    ms = [idx // 2 for indices, _ in (lowpass, highpass) for idx in indices]
+    before, after = max(0, max(ms)), max(0, -min(ms))
+    terms = tuple(
+        _fold(
+            [
+                (c, source, before - idx // 2)
+                for source, (indices, stored) in enumerate((lowpass, highpass))
+                for idx, c in zip(indices, stored)
+                if idx % 2 == phase
+            ]
+        )
+        for phase in (0, 1)
+    )
+    return before, after, terms
+
+
+def _along(
+    axis: int, start: Optional[int], stop: Optional[int], step: Optional[int] = None
+) -> tuple:
+    """Index tuple selecting ``start:stop:step`` along ``axis``."""
+    return (slice(None),) * axis + (slice(start, stop, step),)
+
+
+def _extend(x: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
+    """Circular extension of ``x`` along ``axis`` (a fresh array)."""
+    n = x.shape[axis]
+    if before <= n and after <= n:
+        return np.concatenate(
+            (x[_along(axis, n - before, n)], x, x[_along(axis, 0, after)]), axis=axis
+        )
+    # Pads longer than the signal (long banks at deep scales of small
+    # images) wrap more than once.
+    return np.take(x, np.arange(-before, n + after) % n, axis=axis)
+
+
+def _convolve(
+    sources: Sequence[np.ndarray], terms: Tuple[_Term, ...], axis: int, length: int
+) -> np.ndarray:
+    """``sum(c * sum(sources[k][start:start+length]))`` along ``axis``.
+
+    ``axis`` is the first or the last axis of the equally shaped, C-contiguous
+    ``sources``, and every multiply-add runs on one contiguous flat slice.
+    Along the first axis a shift is a whole number of rows.  Along the last
+    axis the rows are walked as one line of pitch ``L`` and the ``L - length``
+    outputs at the end of each row, which straddle two rows, are dropped.
+    """
+    shape = sources[0].shape
+    flat = [source.reshape(-1) for source in sources]
+    size = flat[0].size
+    if axis == 0:
+        pitch = size // shape[0]
+        span = length * pitch
+    else:
+        pitch = 1
+        span = size - (shape[-1] - length)
+    buffer = np.empty(size if axis else span, dtype=np.int64)
+    acc = buffer[:span]
+    scratch = np.empty_like(acc) if len(terms) > 1 else None
+    for n, (stored, slices) in enumerate(terms):
+        dst = acc if n == 0 else scratch
+        segments = [flat[k][s * pitch : s * pitch + span] for k, s in slices]
+        if len(segments) == 1:
+            np.multiply(segments[0], np.int64(stored), out=dst)
+        else:
+            np.add(segments[0], segments[1], out=dst)
+            for segment in segments[2:]:
+                dst += segment
+            dst *= np.int64(stored)
+        if n:
+            acc += scratch
+    if axis == 0:
+        return acc.reshape((length,) + shape[1:])
+    return buffer.reshape(shape)[..., :length]
 
 
 @dataclass
@@ -201,8 +339,66 @@ class FixedPointDWT:
             out = round_half_up_shift(acc, shift)
         else:
             out = truncate_shift(acc, shift)
-        FxArray(out, target).check_range(self.overflow_policy)
-        return np.asarray(out, dtype=np.int64)
+        # "wrap" returns a new array, so take the checked one back.
+        return FxArray(out, target).check_range(self.overflow_policy).stored
+
+    def _analysis_pass(
+        self,
+        data: np.ndarray,
+        filters: Sequence[QuantizedFilter],
+        axis: int,
+        source_frac: int,
+        target: QFormat,
+    ) -> np.ndarray:
+        """Decimated analysis along ``axis`` through each of ``filters``.
+
+        Both phases of ``data`` are extended once and shared by every
+        filter; the outputs lie side by side along ``axis`` (``[lo | hi]``)
+        and are narrowed together (the filters share one coefficient
+        format, hence one alignment shift).
+        """
+        n = data.shape[axis]
+        if n % 2 != 0:
+            raise ValueError(f"signal length {n} must be even")
+        half = n // 2
+        before, after, terms = _analysis_plan(tuple(_filter_key(q) for q in filters))
+        phases = [
+            _extend(data[_along(axis, p, None, 2)], axis, before, after) for p in (0, 1)
+        ]
+        acc = np.concatenate(
+            [_convolve(phases, filter_terms, axis, half) for filter_terms in terms],
+            axis=axis,
+        )
+        shift = self._shift_amount(
+            source_frac + filters[0].fmt.fractional_bits, target.fractional_bits
+        )
+        return self._narrow(acc, shift, target)
+
+    def _synthesis_pass(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        axis: int,
+        source_frac: int,
+        target: QFormat,
+    ) -> np.ndarray:
+        """One synthesis stage along ``axis``: both phases of the output
+        from one circular extension of each band, narrowed together and
+        interleaved."""
+        half = lo.shape[axis]
+        before, after, terms = _synthesis_plan(
+            _filter_key(self._qht), _filter_key(self._qgt)
+        )
+        bands = [_extend(lo, axis, before, after), _extend(hi, axis, before, after)]
+        phases = [_convolve(bands, phase_terms, axis, half) for phase_terms in terms]
+        acc = np.stack(phases, axis=axis + 1).reshape(
+            lo.shape[:axis] + (2 * half,) + lo.shape[axis + 1 :]
+        )
+        shift = self._shift_amount(
+            source_frac + self.plan.coefficient_format.fractional_bits,
+            target.fractional_bits,
+        )
+        return self._narrow(acc, shift, target)
 
     def _analysis_1d(
         self,
@@ -212,17 +408,8 @@ class FixedPointDWT:
         target: QFormat,
     ) -> np.ndarray:
         """Decimated analysis convolution along the last axis, in integers."""
-        n = data.shape[-1]
-        if n % 2 != 0:
-            raise ValueError(f"signal length {n} must be even")
-        half = n // 2
-        base = 2 * np.arange(half)
-        acc = np.zeros(data.shape[:-1] + (half,), dtype=np.int64)
-        for idx, stored in qfilt.items():
-            acc += np.int64(stored) * data[..., np.mod(base + idx, n)]
-        shift = self._shift_amount(source_frac + qfilt.fmt.fractional_bits,
-                                   target.fractional_bits)
-        return self._narrow(acc, shift, target)
+        data = np.asarray(data, dtype=np.int64)
+        return self._analysis_pass(data, (qfilt,), data.ndim - 1, source_frac, target)
 
     def _synthesis_1d(
         self,
@@ -232,26 +419,45 @@ class FixedPointDWT:
         target: QFormat,
     ) -> np.ndarray:
         """One synthesis stage along the last axis, in integers."""
-        half = lo.shape[-1]
-        out_len = 2 * half
-        acc = np.zeros(lo.shape[:-1] + (out_len,), dtype=np.int64)
-        positions = 2 * np.arange(half)
-        for idx, stored in self._qht.items():
-            np.add.at(acc, (..., np.mod(positions + idx, out_len)), np.int64(stored) * lo)
-        for idx, stored in self._qgt.items():
-            np.add.at(acc, (..., np.mod(positions + idx, out_len)), np.int64(stored) * hi)
-        shift = self._shift_amount(
-            source_frac + self.plan.coefficient_format.fractional_bits,
-            target.fractional_bits,
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        return self._synthesis_pass(lo, hi, lo.ndim - 1, source_frac, target)
+
+    @staticmethod
+    def _column_bands(
+        data: np.ndarray, entry: ScaleDetails, rows: slice = slice(None)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Low and high inputs of one scale's column synthesis: the halves
+        ``[approx | GH]`` and ``[HG | GG]`` of the Mallat array (detail
+        ``rows`` only)."""
+        lo = np.concatenate((data, entry.gh[rows]), axis=1, dtype=np.int64)
+        hi = np.concatenate((entry.hg[rows], entry.gg[rows]), axis=1, dtype=np.int64)
+        return lo, hi
+
+    def _column_synthesis(
+        self, data: np.ndarray, entry: ScaleDetails, source: QFormat
+    ) -> np.ndarray:
+        """Undo one scale's column pass: ``[[approx, GH], [HG, GG]]`` →
+        ``[row_lo | row_hi]``, still in the scale's own format."""
+        lo, hi = self._column_bands(data, entry)
+        return self._synthesis_pass(lo, hi, 0, source.fractional_bits, source)
+
+    def _row_synthesis(
+        self, rows: np.ndarray, source: QFormat, target: QFormat
+    ) -> np.ndarray:
+        """Undo one scale's row pass: ``[row_lo | row_hi]`` → ``target``."""
+        half = rows.shape[1] // 2
+        return self._synthesis_pass(
+            rows[:, :half], rows[:, half:], 1, source.fractional_bits, target
         )
-        return self._narrow(acc, shift, target)
 
     # -- forward -------------------------------------------------------------------
     def forward(self, image: np.ndarray) -> FixedPointPyramid:
         """Fixed-point forward transform of an integer image.
 
         ``image`` must contain integers representable in the plan's input
-        format (12-bit medical pixels in the paper).
+        format (12-bit medical pixels in the paper).  The detail subbands
+        are views of each scale's Mallat array.
         """
         image = np.asarray(image)
         if image.ndim != 2:
@@ -271,18 +477,21 @@ class FixedPointDWT:
 
         details: List[ScaleDetails] = []
         source_frac = self.plan.input_format.fractional_bits
+        bank = (self._qh, self._qg)
         for scale in range(1, self.scales + 1):
             target = self.plan.format_for_scale(scale)
-            # Rows (last axis), then columns (transpose).
-            row_lo = self._analysis_1d(data, self._qh, source_frac, target)
-            row_hi = self._analysis_1d(data, self._qg, source_frac, target)
+            # Rows give [lo | hi]; the columns of that give
+            # [[HH, GH], [HG, GG]].
+            rows = self._analysis_pass(data, bank, 1, source_frac, target)
             frac = target.fractional_bits
-            hh = self._analysis_1d(row_lo.T, self._qh, frac, target).T
-            hg = self._analysis_1d(row_lo.T, self._qg, frac, target).T
-            gh = self._analysis_1d(row_hi.T, self._qh, frac, target).T
-            gg = self._analysis_1d(row_hi.T, self._qg, frac, target).T
-            details.append(ScaleDetails(scale=scale, hg=hg, gh=gh, gg=gg))
-            data = hh
+            mallat = self._analysis_pass(rows, bank, 0, frac, target)
+            h, w = mallat.shape[0] // 2, mallat.shape[1] // 2
+            details.append(
+                ScaleDetails(
+                    scale=scale, hg=mallat[h:, :w], gh=mallat[:h, w:], gg=mallat[h:, w:]
+                )
+            )
+            data = mallat[:h, :w]
             source_frac = frac
         return FixedPointPyramid(plan=self.plan, approximation=data, details=details)
 
@@ -293,34 +502,16 @@ class FixedPointDWT:
         The final synthesis stage aligns directly into the input format
         (integer pixels), which is where the lossless property is judged.
         """
-        if pyramid.scales != self.scales:
-            raise ValueError(
-                f"pyramid has {pyramid.scales} scales, engine configured for {self.scales}"
-            )
-        data = np.asarray(pyramid.approximation, dtype=np.int64)
-        for scale in range(self.scales, 0, -1):
-            source = self.plan.format_for_scale(scale)
-            target = self.plan.format_for_scale(scale - 1)
-            entry = pyramid.details[scale - 1]
-            frac = source.fractional_bits
-            # Undo the column transform first (columns were filtered last in
-            # the forward pass); intermediates stay in the source format.
-            row_lo = self._synthesis_1d(data.T, entry.hg.T, frac, source).T
-            row_hi = self._synthesis_1d(entry.gh.T, entry.gg.T, frac, source).T
-            # Then undo the row transform, landing in the coarser format.
-            data = self._synthesis_1d(row_lo, row_hi, frac, target)
-        # _synthesis_1d already returns int64; avoid a redundant full-image copy.
-        return np.asarray(data, dtype=np.int64)
+        return self.inverse_preview(pyramid, 0)
 
     def inverse_preview(self, pyramid: FixedPointPyramid, at_scale: int) -> np.ndarray:
         """Partial inverse: stop the synthesis ladder at ``at_scale``.
 
-        Runs the same ladder as :meth:`inverse` but only for scales
-        ``S .. at_scale+1``, so it needs only the approximation and the
-        detail subbands *coarser* than ``at_scale`` — ``pyramid.details``
-        entries for finer scales may be ``None`` placeholders (the
-        prefix-decode path never materialises them).  ``at_scale=0`` is
-        exactly :meth:`inverse`, bit for bit.
+        Runs the synthesis ladder for scales ``S .. at_scale+1`` only, so
+        it needs only the approximation and the detail subbands *coarser*
+        than ``at_scale`` — ``pyramid.details`` entries for finer scales
+        may be ``None`` placeholders (the prefix-decode path never
+        materialises them).  ``at_scale=0`` is :meth:`inverse`.
 
         For ``at_scale=k > 0`` the scale-``k`` approximation is narrowed
         from its data format to integer precision with the same §4.3
@@ -341,14 +532,13 @@ class FixedPointDWT:
         data = np.asarray(pyramid.approximation, dtype=np.int64)
         for scale in range(self.scales, at_scale, -1):
             source = self.plan.format_for_scale(scale)
+            # Columns were filtered last in the forward pass, so they are
+            # undone first; the rows then land in the coarser format.
+            rows = self._column_synthesis(data, pyramid.details[scale - 1], source)
             target = self.plan.format_for_scale(scale - 1)
-            entry = pyramid.details[scale - 1]
-            frac = source.fractional_bits
-            row_lo = self._synthesis_1d(data.T, entry.hg.T, frac, source).T
-            row_hi = self._synthesis_1d(entry.gh.T, entry.gg.T, frac, source).T
-            data = self._synthesis_1d(row_lo, row_hi, frac, target)
+            data = self._row_synthesis(rows, source, target)
         if at_scale == 0:
-            return np.asarray(data, dtype=np.int64)
+            return data
         fmt = self.plan.format_for_scale(at_scale)
         shift = self._shift_amount(
             fmt.fractional_bits, self.plan.input_format.fractional_bits
@@ -393,39 +583,34 @@ class FixedPointDWT:
         self,
         lo: np.ndarray,
         hi: np.ndarray,
-        source_frac: int,
-        target: QFormat,
+        source: QFormat,
         in_start: int,
         out_window: Tuple[int, int],
     ) -> np.ndarray:
-        """One synthesis stage producing only output positions
-        ``[out_window)`` from inputs whose global start index is
+        """One column synthesis stage producing only output rows
+        ``[out_window)`` from input rows whose global start index is
         ``in_start`` (``lo``/``hi`` already sliced to their window).
 
         Positions are global and unwrapped: the window ladder falls back
-        to the full :meth:`_synthesis_1d` whenever a window clamps, and
+        to the full column synthesis whenever a window clamps, and
         wraparound contributions exist *only* in that clamped case, so the
         masked scatter here is exact for every window that reaches it.
         """
-        half = lo.shape[-1]
+        half = lo.shape[0]
         o0, o1 = out_window
-        acc = np.zeros(lo.shape[:-1] + (o1 - o0,), dtype=np.int64)
+        acc = np.zeros((o1 - o0,) + lo.shape[1:], dtype=np.int64)
         positions = 2 * (in_start + np.arange(half))
-        for source, qfilt in ((lo, self._qht), (hi, self._qgt)):
+        for band, qfilt in ((lo, self._qht), (hi, self._qgt)):
             for idx, stored in qfilt.items():
                 local = positions + idx - o0
                 mask = (local >= 0) & (local < o1 - o0)
                 if mask.any():
-                    np.add.at(
-                        acc,
-                        (..., local[mask]),
-                        np.int64(stored) * source[..., mask],
-                    )
+                    np.add.at(acc, local[mask], np.int64(stored) * band[mask])
         shift = self._shift_amount(
-            source_frac + self.plan.coefficient_format.fractional_bits,
-            target.fractional_bits,
+            source.fractional_bits + self.plan.coefficient_format.fractional_bits,
+            source.fractional_bits,
         )
-        return self._narrow(acc, shift, target)
+        return self._narrow(acc, shift, source)
 
     def inverse_roi(
         self, pyramid: FixedPointPyramid, y0: int, y1: int
@@ -456,31 +641,21 @@ class FixedPointDWT:
             data = data[top[0] : top[1]]
         for scale in range(self.scales, 0, -1):
             source = self.plan.format_for_scale(scale)
-            target = self.plan.format_for_scale(scale - 1)
             entry = pyramid.details[scale - 1]
-            frac = source.fractional_bits
             in_win, out_win = windows[scale], windows[scale - 1]
             if in_win is None:
                 # Clamped somewhere at or above this scale: full vertical
-                # synthesis (wraparound handled by the mod scatter), then
-                # keep only the rows the next stage needs.
-                row_lo = self._synthesis_1d(data.T, entry.hg.T, frac, source).T
-                row_hi = self._synthesis_1d(entry.gh.T, entry.gg.T, frac, source).T
+                # synthesis (wraparound comes from the circular extension),
+                # then keep only the rows the next stage needs.
+                rows = self._column_synthesis(data, entry, source)
                 if out_win is not None:
-                    row_lo = row_lo[out_win[0] : out_win[1]]
-                    row_hi = row_hi[out_win[0] : out_win[1]]
+                    rows = rows[out_win[0] : out_win[1]]
             else:
-                hg = entry.hg[in_win[0] : in_win[1]]
-                gh = entry.gh[in_win[0] : in_win[1]]
-                gg = entry.gg[in_win[0] : in_win[1]]
-                row_lo = self._synthesis_window(
-                    data.T, hg.T, frac, source, in_win[0], out_win
-                ).T
-                row_hi = self._synthesis_window(
-                    gh.T, gg.T, frac, source, in_win[0], out_win
-                ).T
-            data = self._synthesis_1d(row_lo, row_hi, frac, target)
-        return np.asarray(data, dtype=np.int64)
+                lo, hi = self._column_bands(data, entry, slice(*in_win))
+                rows = self._synthesis_window(lo, hi, source, in_win[0], out_win)
+            target = self.plan.format_for_scale(scale - 1)
+            data = self._row_synthesis(rows, source, target)
+        return data
 
     # -- convenience -----------------------------------------------------------------
     def roundtrip(self, image: np.ndarray) -> Tuple[np.ndarray, FixedPointPyramid]:
