@@ -3,9 +3,8 @@
 Not a paper table: this is the perf claim behind
 :mod:`repro.archive.sharding` — splitting an archive across N container
 files must (a) change nothing about the stored frame bytes (resharding
-invariance) and (b) let a pack run one compress-and-write worker per shard,
-raising ingest throughput on multi-core hosts past the single-writer
-funnel.  On a 32-frame 128x128 CT series packed into a 4-shard set the
+invariance) and (b) let a pack run one compress job per shard on a
+process pool, raising ingest throughput on multi-core hosts.  On a 32-frame 128x128 CT series packed into a 4-shard set the
 benchmark measures end-to-end pack time (create + compress + write +
 finalise) at 1 and 4 workers, proves per-frame payload identity against a
 plain single-file archive, proves shard-file byte identity between serial

@@ -16,7 +16,7 @@ can be located, checksummed and decoded without reading anything else:
     A *sharded archive set* (:mod:`repro.archive.sharding`): one
     :class:`~repro.coding.spec.CodecSpec` spanning N containers behind a
     manifest and a deterministic by-name shard router.  Packs run one
-    end-to-end worker per shard; random access opens exactly one shard;
+    compress job per shard; random access opens exactly one shard;
     damage to one shard is isolated from the rest.
 ``StreamingIngestor`` / ``ingest_frames`` / ``ingest_async`` / ``iter_compress``
     Streaming ingest (:mod:`repro.archive.ingest`): frames flow from a

@@ -6,8 +6,8 @@ Runs the medical-archive scenario end to end against real files:
     Compress PGM files (or a synthetic CT series) into an archive, creating
     it or appending to it; ``--workers N`` shards the batch across a
     process pool (byte-identical output).  ``--shards N`` creates a
-    *sharded archive set* instead (manifest + N containers, one end-to-end
-    worker per shard when ``--workers`` > 1), and ``--stream`` feeds the
+    *sharded archive set* instead (manifest + N containers, one compress
+    job per shard on the ``--workers`` executor), and ``--stream`` feeds the
     frames through the bounded-queue streaming ingest front end
     (``--queue-depth`` raw frames in memory at most) instead of batching.
 ``list``
@@ -156,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="compress across N worker processes, or across socket workers "
         "given as host:port,host:port (default 1 = serial; streams are "
-        "byte-identical in every mode; with --shards, one end-to-end "
-        "worker per shard)",
+        "byte-identical in every mode; with --shards, one compress job "
+        "per shard)",
     )
     pack.add_argument(
         "--place",

@@ -96,3 +96,19 @@ def placement_of(manifest) -> Dict[str, str]:
         for name, node in zip(manifest.shard_names, node_ids)
         if node
     }
+
+
+def count_placement(
+    prefer: Sequence[Optional[str]], runs: Sequence[Tuple[object, Optional[str]]]
+) -> Tuple[int, int]:
+    """``(hits, fallbacks)`` of one executor run: placed jobs that a remote
+    worker ran on their preferred node, or elsewhere.  Local runs report
+    ``node=None`` and count as neither."""
+    hits = fallbacks = 0
+    for preferred, (_, node) in zip(prefer, runs):
+        if node is not None and preferred is not None:
+            if node == preferred:
+                hits += 1
+            else:
+                fallbacks += 1
+    return hits, fallbacks

@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from ..coding.executor import make_executor, shard_indices
 from ..coding.pipeline import (
     CodecResources,
     CompressedBatch,
@@ -47,6 +48,7 @@ from ..coding.pipeline import (
 from ..coding.spec import CodecSpec, default_engine
 from .backend import FileBackend, RetryPolicy, StorageBackend, resolve_backend
 from .format import (
+    ArchiveError,
     ArchiveFormatError,
     ArchiveIntegrityError,
     LAYOUT_SUBBAND_MAJOR,
@@ -72,6 +74,19 @@ __all__ = ["ArchiveReader", "VerifyReport"]
 PathLike = Union[str, Path]
 Target = Union[str, Path, StorageBackend]
 FrameKey = Union[int, str, FrameInfo]
+
+#: Error names a ``verify_frames`` job may report, mapped back to the class
+#: the serial path raises.  A closed set: a worker never chooses what this
+#: process instantiates (unknown names raise the :class:`ArchiveError` base).
+_VERIFY_ERRORS = {
+    cls.__name__: cls
+    for cls in (
+        ArchiveError,
+        ArchiveFormatError,
+        ArchiveIntegrityError,
+        TruncatedArchiveError,
+    )
+}
 
 
 class VerifyReport(dict):
@@ -475,7 +490,7 @@ class ArchiveReader:
         return decompress_frames(batch, workers=workers)
 
     # -- integrity ----------------------------------------------------------------------
-    def _verify_frame(self, entry: FrameInfo, deep: bool) -> int:
+    def verify_frame(self, entry: FrameInfo, deep: bool) -> int:
         """Verify one frame (checksum, optionally a full decode); returns
         its payload size in bytes."""
         payload = self.read_payload_view(entry)
@@ -500,85 +515,45 @@ class ArchiveReader:
         Raises :class:`ArchiveIntegrityError` / :class:`ArchiveFormatError`
         on the first failure; returns a summary when the archive is sound.
 
-        ``workers`` > 1 shards the frames across a process pool (file-backed
-        archives only — other backends fall back to serial): each worker
-        reopens the archive and verifies its share, so deep verification
-        parallelises the way ``pack --workers`` does.  Socket workers
-        (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) shard the frames across
-        remote workers instead (which must see the archive's filesystem,
-        like the pool's processes).  The payload reads then happen in the
-        workers, so this reader's ``bytes_read`` counter does not advance.
+        ``workers=1`` verifies through this reader.  Any other ``workers``
+        value (a pool width, or socket workers — ``"host:port,host:port"``
+        or a :class:`~repro.coding.netexec.WorkerPool`) shards the frames into
+        ``verify_frames`` jobs on that executor (file-backed archives only
+        — other backends verify here): each job reopens the archive by path
+        (socket workers must see its filesystem) and verifies its share, so
+        deep verification parallelises the way ``pack --workers`` does.
+        Damage raises the same error, with the same message, as the serial
+        path.  The payload reads then happen in the jobs, so this reader's
+        ``bytes_read`` counter does not advance.
         """
-        from ..coding.executor import is_socket_workers
-
-        if is_socket_workers(workers):
-            if len(self.frames) > 0 and isinstance(self.backend, FileBackend):
-                return self._verify_socket(deep, workers)
-            workers = 1
-        if workers > 1 and len(self.frames) > 1 and isinstance(self.backend, FileBackend):
-            return self._verify_parallel(deep, workers)
-        payload_bytes = 0
-        for entry in self.frames:
-            payload_bytes += self._verify_frame(entry, deep)
-        return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
-
-    def _verify_parallel(self, deep: bool, workers: int) -> VerifyReport:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..coding.executor import pool_context, shard_indices
-
-        shards = shard_indices(len(self.frames), workers)
-        with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _verify_frames_worker,
-                    str(self.backend.path),
-                    indices,
-                    deep,
-                    self.engine,
-                    self.verify_checksums,
-                )
-                for indices in shards
-            ]
-            payload_bytes = sum(future.result() for future in futures)
-        return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
-
-    def _verify_socket(self, deep: bool, workers) -> VerifyReport:
-        """Verify via socket workers: one ``verify_frames`` RPC per shard
-        of the frame list, each worker reopening the archive by path."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.executor import shard_indices
-        from ..coding.netexec import WorkerPool
-
-        pool, owns = WorkerPool.from_any(workers)
-        try:
-            live = pool.ensure_connected()
-            shards = shard_indices(len(self.frames), len(live))
-
-            def run_shard(item) -> int:
-                position, indices = item
-                result, _node = pool.call(
-                    "verify_frames",
+        executor = make_executor(workers)  # rejects a width below 1 on every path
+        if workers == 1 or not self.frames or not isinstance(self.backend, FileBackend):
+            payload_bytes = sum(self.verify_frame(entry, deep) for entry in self.frames)
+            return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
+        shards = shard_indices(len(self.frames), executor.width())
+        results = [
+            result
+            for result, _node in executor.run(
+                "verify_frames",
+                [
                     {
                         "path": str(self.backend.path),
                         "indices": indices,
                         "deep": deep,
                         "engine": self.engine,
                         "verify_checksums": self.verify_checksums,
-                    },
-                    preferred_index=live[position % len(live)],
-                )
-                return result["payload_bytes"]
-
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
-                payload_bytes = sum(threads.map(run_shard, enumerate(shards)))
-        finally:
-            if owns:
-                pool.disconnect()
+                    }
+                    for indices in shards
+                ],
+            )
+        ]
+        failures = [result for result in results if not result["ok"]]
+        if failures:
+            # Each job stops at its shard's first damaged frame; the lowest
+            # of those is the frame the serial path stops at.
+            first = min(failures, key=lambda result: result["index"])
+            raise _VERIFY_ERRORS.get(first["error"], ArchiveError)(first["message"])
+        payload_bytes = sum(result["payload_bytes"] for result in results)
         return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -594,10 +569,3 @@ class ArchiveReader:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def _verify_frames_worker(
-    path: str, indices: Sequence[int], deep: bool, engine: str, verify_checksums: bool
-) -> int:
-    """Process-pool entry point: verify a subset of one archive's frames."""
-    with ArchiveReader(path, engine=engine, verify_checksums=verify_checksums) as reader:
-        return sum(reader._verify_frame(reader.frames[i], deep) for i in indices)

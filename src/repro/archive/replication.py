@@ -199,13 +199,9 @@ class ReplicatedShardSet(ShardedArchiveWriter):
             *(self.path.parent / name for name in replica_map[shard]),
         ]
 
-    def _shard_write_paths(self, shard: int) -> List[str]:
-        """Pooled appends write every copy (primary first)."""
-        return [str(path) for path in self._copy_paths(shard)]
-
     def _writer(self, shard: int) -> _FanOutWriter:
-        """In-process appends (``add_stream``, serial ``append_batch``) go
-        through a fan-out writer so streamed ingest replicates too."""
+        """Every append (``add_stream``, ``append_batch`` on any executor)
+        goes through a fan-out writer, so every copy receives it."""
         if shard not in self._writers:
             self._writers[shard] = _FanOutWriter(
                 self._copy_paths(shard), self.spec, layout=self.manifest.layout

@@ -11,10 +11,10 @@ single-archive API:
 
 ``ShardedArchiveWriter``
     Creates or appends to a set; :meth:`~ShardedArchiveWriter.append_batch`
-    with ``workers`` > 1 runs **one end-to-end worker per shard** — each
-    worker process compresses *and writes* its own shard, so ingest scales
-    without a shared writer bottleneck — and produces byte-identical shard
-    files to the serial path.
+    runs **one compress job per shard** on the executor ``workers`` names
+    (inline, a process pool or socket workers), then writes each shard's
+    streams through that shard's writer in this process — so the shard
+    files are byte-identical whichever executor compressed them.
 ``ShardedArchiveReader``
     Lists the whole set, randomly accesses one frame by routing its name to
     its shard (only that shard is opened and only that payload is read —
@@ -51,11 +51,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from ..coding.executor import is_socket_workers, pool_context
+from ..coding.executor import make_executor, stamp_run_stats
 from ..coding.pipeline import (
     CompressedBatch,
     PipelineStats,
-    compress_frames,
     decompress_frames,
 )
 from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
@@ -71,11 +70,10 @@ from .format import (
     FrameInfo,
     ShardManifest,
     TruncatedArchiveError,
-    crc32 as _crc32,
     pack_manifest,
     unpack_manifest,
 )
-from .placement import PlacementLike, normalize_placement
+from .placement import PlacementLike, count_placement, normalize_placement
 from .reader import ArchiveReader, FrameKey, VerifyReport
 from .serialize import CompressedStream, materialize_stream
 from .writer import ArchiveWriter
@@ -278,61 +276,6 @@ def _read_manifest(path: Path) -> ShardManifest:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (module level so they pickle for the process pool)
-# ---------------------------------------------------------------------------
-
-def _append_shard_worker(
-    paths: List[str],
-    spec: CodecSpec,
-    frames: List[np.ndarray],
-    names: List[str],
-    layout: str = LAYOUT_FRAME_MAJOR,
-) -> Tuple[List[FrameInfo], PipelineStats]:
-    """One end-to-end shard worker: compress once, write every copy.
-
-    ``paths`` is the shard's write fan-out — the primary container first,
-    then its replicas (empty past the primary for an unreplicated set).
-    Each copy receives the *same* streams in the same order against the
-    same starting bytes, which is what makes the copies byte-identical.
-    """
-    batch = compress_frames(frames, spec=spec)
-    entries: Optional[List[FrameInfo]] = None
-    for path in paths:
-        with ArchiveWriter.append(path, spec=spec, layout=layout) as writer:
-            copy_entries = writer.add_batch(batch, names=names)
-        if entries is None:
-            entries = copy_entries
-    return entries or [], batch.stats
-
-
-def _verify_copy_worker(
-    target, deep: bool, engine: str, verify_checksums: bool
-) -> Dict:
-    """Verify one shard *copy*, mapping any damage to a failure record.
-
-    Besides the totals, a healthy copy reports a ``digest`` — CRC-32 over
-    its sorted (frame name, payload CRC) pairs, free from the index alone —
-    so the set-level verify can detect copies that are individually valid
-    but *diverged* from their siblings (e.g. a replica left stale by a
-    writer killed between copy finalisations).
-    """
-    try:
-        with ArchiveReader(target, engine=engine, verify_checksums=verify_checksums) as reader:
-            report = reader.verify(deep=deep)
-            digest_src = "\n".join(
-                f"{e.name}:{e.crc32:08x}" for e in sorted(reader.frames, key=lambda e: e.name)
-            )
-            return {
-                "ok": True,
-                "frames": report["frames"],
-                "payload_bytes": report["payload_bytes"],
-                "digest": _crc32(digest_src.encode("utf-8")),
-            }
-    except (ArchiveError, OSError) as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-
-
-# ---------------------------------------------------------------------------
 # Writer
 # ---------------------------------------------------------------------------
 
@@ -365,7 +308,7 @@ class ShardedArchiveWriter:
         #: (1 = serial) or socket worker addresses / a
         #: :class:`~repro.coding.netexec.WorkerPool` for distributed
         #: appends.
-        self.workers = workers if is_socket_workers(workers) else int(workers)
+        self.workers = workers
         #: Aggregated pipeline stats of every append on this writer.
         self.stats = PipelineStats()
         #: Distributed appends routed to each shard's placed worker, and
@@ -509,11 +452,6 @@ class ShardedArchiveWriter:
         """Names of every frame stored in the set so far."""
         return sorted(self._names)
 
-    def _shard_write_paths(self, shard: int) -> List[str]:
-        """The files one shard's appends land in (primary only here; the
-        replicated subclass adds the shard's replicas)."""
-        return [str(self.shard_paths[shard])]
-
     def _writer(self, shard: int) -> ArchiveWriter:
         if shard not in self._writers:
             self._writers[shard] = ArchiveWriter.append(
@@ -522,7 +460,7 @@ class ShardedArchiveWriter:
         return self._writers[shard]
 
     def _flush_shards(self) -> None:
-        """Finalise any in-process shard writers (before pooled appends)."""
+        """Finalise every open shard writer."""
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
@@ -569,48 +507,59 @@ class ShardedArchiveWriter:
         names: Optional[Sequence[str]] = None,
         workers=None,
     ) -> List[FrameInfo]:
-        """Compress and archive ``frames``, one pipeline run per shard.
+        """Compress and archive ``frames``, one ``compress`` job per shard.
 
-        Serially the shards are filled one after another; with ``workers``
-        > 1 every non-empty shard gets its own end-to-end worker process
-        (compress + write), the true "one worker per shard" scale-out.
-        With socket workers (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) each shard's
-        compression runs on a remote worker — routed to the shard's
-        *placed* node when the manifest carries a placement map
-        (``placement_hits``/``placement_fallbacks`` count the routing) —
-        and the streams are written locally.  The shard files are
-        byte-identical in every mode.  Returns the new index entries in
-        input order (``entry.index`` is shard-local).
+        ``workers`` (default: the writer's) picks the executor the jobs
+        run on: ``1`` compresses the shards one after another in this
+        process, a larger width runs one pool process per non-empty shard,
+        and socket workers (``"host:port,host:port"`` or a
+        :class:`~repro.coding.netexec.WorkerPool`) run each shard's job on
+        a remote worker — routed to the shard's *placed* node when the
+        manifest carries a placement map (``placement_hits`` /
+        ``placement_fallbacks`` count the routing).  Whoever compressed
+        them, every shard's streams are written here, in shard order,
+        through the shard's writer, so the shard files are byte-identical
+        in every mode.  Returns the new index entries in input order
+        (``entry.index`` is shard-local).
         """
         if self._closed:
             raise ValueError("sharded archive writer is closed")
+        executor = make_executor(self.workers if workers is None else workers)
         frames = [np.asarray(frame) for frame in frames]
-        if workers is None:
-            workers = self.workers
-        elif not is_socket_workers(workers):
-            workers = int(workers)
         resolved = self._resolve_names(len(frames), names)
         groups: Dict[int, List[int]] = {}
         for position, name in enumerate(resolved):
             groups.setdefault(self.router.route(name), []).append(position)
+        shard_order = sorted(groups)
         entries: List[Optional[FrameInfo]] = [None] * len(frames)
-        if is_socket_workers(workers) and groups:
-            self._run_shard_netpool(groups, frames, resolved, entries, workers)
-        elif workers > 1 and len(groups) > 1:
-            self._run_shard_pool(groups, frames, resolved, entries, workers)
-        else:
-            for shard in sorted(groups):
-                positions = groups[shard]
-                batch = compress_frames(
-                    [frames[i] for i in positions], spec=self.spec
-                )
+        if shard_order:
+            placement = self.manifest.placement
+            prefer = [placement.get(self.manifest.shard_names[shard]) for shard in shard_order]
+            concurrent = min(executor.width(), len(shard_order))
+            began = time.perf_counter()
+            results = executor.run(
+                "compress",
+                [
+                    {"spec": self.spec, "items": [frames[i] for i in groups[shard]]}
+                    for shard in shard_order
+                ],
+                prefer,
+            )
+            wall = time.perf_counter() - began
+            merged = PipelineStats()
+            for shard, (result, _node) in zip(shard_order, results):
+                batch = CompressedBatch.from_spec(self.spec, result["items"], result["stats"])
                 shard_entries = self._writer(shard).add_batch(
-                    batch, names=[resolved[i] for i in positions]
+                    batch, names=[resolved[i] for i in groups[shard]]
                 )
-                for position, entry in zip(positions, shard_entries):
+                for position, entry in zip(groups[shard], shard_entries):
                     entries[position] = entry
-                self.stats.merge(batch.stats)
+                merged.merge(result["stats"])
+            stamp_run_stats(merged, results, concurrent, wall)
+            self.stats.merge(merged)
+            hits, fallbacks = count_placement(prefer, results)
+            self.placement_hits += hits
+            self.placement_fallbacks += fallbacks
         self._names.update(resolved)
         self._total += len(frames)
         return [entry for entry in entries if entry is not None]
@@ -623,129 +572,6 @@ class ShardedArchiveWriter:
     ) -> List[FrameInfo]:
         """Alias of :meth:`append_batch` (single-archive API parity)."""
         return self.append_batch(frames, names=names, workers=workers)
-
-    def _run_shard_pool(
-        self,
-        groups: Dict[int, List[int]],
-        frames: List[np.ndarray],
-        names: List[str],
-        entries: List[Optional[FrameInfo]],
-        workers: int,
-    ) -> None:
-        """One worker per shard: each process compresses and writes its shard."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers reopen the shard files, so in-process writers must have
-        # finalised first (their frames stay; this is an ordinary close).
-        self._flush_shards()
-        shard_order = sorted(groups)
-        began = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(shard_order)), mp_context=pool_context()
-        ) as pool:
-            futures = {
-                shard: pool.submit(
-                    _append_shard_worker,
-                    self._shard_write_paths(shard),
-                    self.spec,
-                    [frames[i] for i in groups[shard]],
-                    [names[i] for i in groups[shard]],
-                    self.manifest.layout,
-                )
-                for shard in shard_order
-            }
-            results = {shard: future.result() for shard, future in futures.items()}
-        wall = time.perf_counter() - began
-        merged = PipelineStats()
-        for shard in shard_order:
-            shard_entries, shard_stats = results[shard]
-            for position, entry in zip(groups[shard], shard_entries):
-                entries[position] = entry
-            merged.merge(shard_stats)
-        merged.workers = min(workers, len(shard_order))
-        merged.wall_seconds = wall
-        self.stats.merge(merged)
-
-    def _run_shard_netpool(
-        self,
-        groups: Dict[int, List[int]],
-        frames: List[np.ndarray],
-        names: List[str],
-        entries: List[Optional[FrameInfo]],
-        workers,
-    ) -> None:
-        """Distributed append: compress each shard on a socket worker.
-
-        Each shard's frames go out as one ``compress`` job, routed to the
-        shard's placed node when the manifest has a placement map
-        (any-worker otherwise, or when the placed node is down — counted
-        in ``placement_fallbacks``); the returned streams are written to
-        the shard's copies *locally, in shard order*, so the on-disk bytes
-        are exactly the serial path's regardless of which worker compressed
-        what or in which order results arrived.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.netexec import WorkerPool
-
-        self._flush_shards()
-        pool, owns = WorkerPool.from_any(workers)
-        shard_order = sorted(groups)
-        placement = self.manifest.placement
-        began = time.perf_counter()
-        try:
-            live = pool.ensure_connected()
-
-            def run_shard(shard: int):
-                preferred = placement.get(self.manifest.shard_names[shard])
-                result, node = pool.call(
-                    "compress",
-                    {
-                        "spec": self.spec,
-                        "items": [frames[i] for i in groups[shard]],
-                    },
-                    preferred_node=preferred,
-                )
-                return shard, result, node, preferred
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(shard_order), len(live))
-            ) as threads:
-                outcomes = {
-                    shard: (result, node, preferred)
-                    for shard, result, node, preferred in threads.map(
-                        run_shard, shard_order
-                    )
-                }
-        finally:
-            if owns:
-                pool.disconnect()
-        wall = time.perf_counter() - began
-        merged = PipelineStats()
-        for shard in shard_order:
-            result, node, preferred = outcomes[shard]
-            if preferred is not None:
-                if node == preferred:
-                    self.placement_hits += 1
-                else:
-                    self.placement_fallbacks += 1
-            batch = CompressedBatch.from_spec(self.spec, result["items"])
-            shard_entries: Optional[List[FrameInfo]] = None
-            for path in self._shard_write_paths(shard):
-                with ArchiveWriter.append(
-                    path, spec=self.spec, layout=self.manifest.layout
-                ) as writer:
-                    copy_entries = writer.add_batch(
-                        batch, names=[names[i] for i in groups[shard]]
-                    )
-                if shard_entries is None:
-                    shard_entries = copy_entries
-            for position, entry in zip(groups[shard], shard_entries or []):
-                entries[position] = entry
-            merged.merge(result["stats"])
-        merged.workers = len(live)
-        merged.wall_seconds = wall
-        self.stats.merge(merged)
 
     # -- finalisation -------------------------------------------------------------------
     def close(self) -> None:
@@ -1136,14 +962,15 @@ class ShardedArchiveReader:
         cross-checked against each other: a copy that is individually
         valid but diverged from its most complete sibling (a stale replica
         left by a torn fan-out append) is reported as damaged too, because
-        it must not serve reads or source a repair.  ``workers`` > 1
-        verifies copies concurrently, one worker process per copy; socket
-        workers (``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool`) verify copies on remote
-        workers instead, routed by the manifest's placement map when it
-        has one (the workers must see the set's filesystem, like the fork
-        pool's processes).  ``backend_factory`` forces the serial path —
-        injected backends cross neither process nor socket boundaries.
+        it must not serve reads or source a repair.  Each copy is one
+        ``verify_copy`` job on the executor ``workers`` names (1: inline;
+        a wider pool: one process per copy; socket workers —
+        ``"host:port,host:port"`` or a
+        :class:`~repro.coding.netexec.WorkerPool` — remote workers that
+        must see the set's filesystem, each copy routed to its shard's
+        placed node when the manifest has a placement map).
+        ``backend_factory`` forces the inline executor — injected backends
+        cross neither process nor socket boundaries.
 
         Returns a :class:`VerifyReport` with set totals (counting each
         shard's authoritative copy once) plus ``shards``, ``copies``, a
@@ -1166,25 +993,29 @@ class ShardedArchiveReader:
             else str(self.path.parent / name)
             for _, name in copy_names
         ]
-        args = [
-            (target, deep, self.engine, self.verify_checksums) for target in targets
-        ]
-        if is_socket_workers(workers) and self.backend_factory is None:
-            results = self._verify_remote(copy_names, args, workers)
-        elif (
-            not is_socket_workers(workers)
-            and workers > 1
-            and len(args) > 1
-            and self.backend_factory is None
-        ):
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(args)), mp_context=pool_context()
-            ) as pool:
-                results = list(pool.map(_verify_copy_worker, *zip(*args)))
-        else:
-            results = [_verify_copy_worker(*arg) for arg in args]
+        executor = make_executor(workers)  # rejects a width below 1 on every path
+        if self.backend_factory is not None:
+            executor = make_executor(1)  # injected backends cannot leave this process
+        placement = self.manifest.placement
+        prefer = [placement.get(self.manifest.shard_names[shard]) for shard, _ in copy_names]
+        runs = executor.run(
+            "verify_copy",
+            [
+                {
+                    "target": target,
+                    "deep": deep,
+                    "engine": self.engine,
+                    "verify_checksums": self.verify_checksums,
+                }
+                for target in targets
+            ],
+            prefer,
+        )
+        hits, fallbacks = count_placement(prefer, runs)
+        with self._lock:
+            self.placement_hits += hits
+            self.placement_fallbacks += fallbacks
+        results = [result for result, _node in runs]
 
         by_shard: Dict[int, List[Tuple[str, Dict]]] = {}
         for (shard, name), result in zip(copy_names, results):
@@ -1233,54 +1064,6 @@ class ShardedArchiveReader:
                 "verified clean"
             )
         return report
-
-    def _verify_remote(
-        self,
-        copy_names: List[Tuple[int, str]],
-        args: List[Tuple],
-        workers,
-    ) -> List[Dict]:
-        """Verify every copy on socket workers, one ``verify_copy`` RPC per
-        copy, routed to the copy's shard's placed node (any-worker when
-        unplaced or the node is down — ``placement_fallbacks`` counts the
-        misses)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..coding.netexec import WorkerPool
-
-        pool, owns = WorkerPool.from_any(workers)
-        placement = self.manifest.placement
-        try:
-            live = pool.ensure_connected()
-
-            def run_copy(item: Tuple[Tuple[int, str], Tuple]) -> Dict:
-                (shard, _name), (target, deep, engine, verify_checksums) = item
-                preferred = placement.get(self.manifest.shard_names[shard])
-                result, node = pool.call(
-                    "verify_copy",
-                    {
-                        "target": target,
-                        "deep": deep,
-                        "engine": engine,
-                        "verify_checksums": verify_checksums,
-                    },
-                    preferred_node=preferred,
-                )
-                with self._lock:
-                    if preferred is not None:
-                        if node == preferred:
-                            self.placement_hits += 1
-                        else:
-                            self.placement_fallbacks += 1
-                return result
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(args), len(live))
-            ) as threads:
-                return list(threads.map(run_copy, zip(copy_names, args)))
-        finally:
-            if owns:
-                pool.disconnect()
 
     # -- lifecycle ----------------------------------------------------------------------
     def close(self) -> None:

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..coding.executor import is_socket_workers
 from ..coding.pipeline import CompressedBatch, PipelineStats, compress_frames
 from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
 from .backend import StorageBackend, resolve_backend
@@ -111,7 +110,7 @@ class ArchiveWriter:
         #: Default workers for :meth:`append_batch` — a pool width
         #: (1 = serial) or socket worker addresses for distributed
         #: compression (:mod:`repro.coding.netexec`).
-        self.workers = workers if is_socket_workers(workers) else int(workers)
+        self.workers = workers
         #: Aggregated pipeline stats of every :meth:`append_batch`/:meth:`add_batch`
         #: call on this writer (wall-clock per stage, sizes, ratios).
         self.stats = PipelineStats()

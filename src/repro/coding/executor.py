@@ -1,32 +1,42 @@
-"""Multi-core batch execution: shard a frame batch across a process pool.
+"""Batch execution behind one seam: a job registry and ``Executor.run``.
+
+Every piece of work that may leave this process is a *job*: a ``kind``
+naming an entry of :data:`JOBS` plus a payload dict.  An
+:class:`Executor` runs a list of payloads of one kind with
+``run(kind, payloads, prefer=None)`` and returns one ``(result, node)``
+pair per payload, in payload order.  Three implementations exist, and
+:func:`make_executor` is the only code that picks one:
+
+* **inline** — :class:`ParallelExecutor` of width 1 (or a single job): the
+  jobs run in this process, no pool, no pickling;
+* **fork** — :class:`ParallelExecutor` of width N: the jobs run in a
+  ``concurrent.futures`` process pool (``fork`` preferred, so workers
+  inherit the imported modules);
+* **socket** — :class:`~repro.coding.netexec.SocketPoolExecutor`: the jobs
+  run on remote socket workers, which serve the same :data:`JOBS`.
+
+``prefer`` names a preferred worker node per job (the archive layer's
+placement maps).  Local transports ignore it and report ``node=None``, so
+callers count placement hits/fallbacks only where ``node is not None`` —
+those counters move on socket runs alone.
 
 The stage pipeline (:mod:`repro.coding.pipeline`) compresses frames
-independently — nothing flows between frames except statistics — so a
-batch parallelises by sharding: :class:`ParallelExecutor` deals frames
-round-robin onto ``workers`` shards, runs each shard through the ordinary
-serial pipeline in its own worker process, and reassembles streams (and
-per-frame accelerator reports) in the original frame order.  Because every
-worker runs exactly the code the serial path runs, the merged batch is
-**byte-identical** to serial execution for every codec/engine/transform
-combination; the property test in ``tests/coding/test_executor.py`` proves
-it and the scaling benchmark (``benchmarks/bench_pipeline_parallel.py``)
-measures the throughput.
+independently, so :meth:`Executor.compress` / :meth:`Executor.decompress`
+are written once over ``run``: frames are dealt round-robin onto
+``width()`` shards (:func:`shard_indices`), each shard runs the ordinary
+serial pipeline as one ``compress``/``decompress`` job, and
+:func:`merge_shard_results` reassembles streams (and per-frame accelerator
+reports) in the original frame order.  Because every job runs exactly the
+code the serial path runs, the merged batch is **byte-identical** to
+serial execution on every transport; ``tests/coding/test_executor.py``
+and ``tests/coding/test_netexec.py`` prove it.
 
-``workers=1`` degenerates to the serial path — no pool, no pickling, the
-exact code path :func:`~repro.coding.pipeline.compress_frames` runs.
-
-Stats semantics: each worker's per-stage wall clocks are summed into the
+Stats semantics: each job's per-stage wall clocks are summed into the
 merged :class:`~repro.coding.pipeline.PipelineStats` (so ``stage_seconds``
-reads as CPU seconds across the pool) while ``wall_seconds`` records the
-batch's true elapsed time and ``workers`` the pool size;
-``throughput_mpixels_per_s`` uses the elapsed time, so parallel speedup
-shows up directly.
-
-The configuration travels to workers as a pickled
-:class:`~repro.coding.spec.CodecSpec`; frames and compressed streams are
-plain ``ndarray``/dataclass payloads, so no shared state exists between
-workers and the pool can use any start method (``fork`` is preferred when
-available — workers inherit the imported modules instead of re-importing).
+reads as CPU seconds across the pool).  When jobs ran concurrently or off
+this process, ``workers`` records how many ran at once and
+``wall_seconds`` the batch's true elapsed time
+(:func:`stamp_run_stats`); an inline run keeps the serial stats.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +58,8 @@ from .pipeline import (
 from .spec import CodecSpec, reject_spec_overrides
 
 __all__ = [
+    "JOBS",
+    "Executor",
     "ParallelExecutor",
     "default_workers",
     "is_socket_workers",
@@ -55,6 +67,7 @@ __all__ = [
     "merge_shard_results",
     "pool_context",
     "shard_indices",
+    "stamp_run_stats",
 ]
 
 
@@ -92,20 +105,110 @@ def pool_context():
         return None
 
 
-def _compress_shard(
-    spec: CodecSpec, frames: List[np.ndarray]
-) -> Tuple[List, PipelineStats]:
-    """Worker entry point: serial-compress one shard, return streams + stats."""
-    batch = compress_frames(frames, spec=spec)
-    return batch.streams, batch.stats
+# ---------------------------------------------------------------------------
+# Job registry (module-level functions, so they pickle for the process pool)
+# ---------------------------------------------------------------------------
+
+def _compress(payload: Dict) -> Dict:
+    """Kind ``compress``: serial-compress one frame shard."""
+    batch = compress_frames(payload["items"], spec=payload["spec"])
+    return {"items": batch.streams, "stats": batch.stats}
 
 
-def _decompress_shard(
-    spec: CodecSpec, streams: List
-) -> Tuple[List[np.ndarray], PipelineStats]:
-    """Worker entry point: serial-decode one shard's streams."""
-    return decompress_frames(CompressedBatch.from_spec(spec, streams))
+def _decompress(payload: Dict) -> Dict:
+    """Kind ``decompress``: serial-decode one stream shard."""
+    frames, stats = decompress_frames(
+        CompressedBatch.from_spec(payload["spec"], payload["items"])
+    )
+    return {"items": frames, "stats": stats}
 
+
+def _verify_copy(payload: Dict) -> Dict:
+    """Kind ``verify_copy``: verify one archive container, mapping any
+    damage to a failure record ``{"ok": False, "error": ...}``.
+
+    ``target`` is a path (the worker must see the same filesystem) or,
+    inline only, a storage backend.  Besides the totals, a healthy copy
+    reports a ``digest`` — CRC-32 over its sorted (frame name, payload
+    CRC) pairs, free from the index alone — so the set-level verify can
+    detect copies that are individually valid but *diverged* from their
+    siblings (e.g. a replica left stale by a writer killed between copy
+    finalisations).
+    """
+    from ..archive.format import ArchiveError, crc32
+    from ..archive.reader import ArchiveReader
+
+    try:
+        with ArchiveReader(
+            payload["target"],
+            engine=payload["engine"],
+            verify_checksums=payload["verify_checksums"],
+        ) as reader:
+            report = reader.verify(deep=payload["deep"])
+            digest_src = "\n".join(
+                f"{e.name}:{e.crc32:08x}" for e in sorted(reader.frames, key=lambda e: e.name)
+            )
+            return {
+                "ok": True,
+                "frames": report["frames"],
+                "payload_bytes": report["payload_bytes"],
+                "digest": crc32(digest_src.encode("utf-8")),
+            }
+    except (ArchiveError, OSError) as exc:
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _verify_frames(payload: Dict) -> Dict:
+    """Kind ``verify_frames``: verify a frame shard of one archive by path.
+
+    Archive damage comes back as a failure record ``{"ok": False, "index",
+    "error", "message"}`` — the shard's first damaged frame, the error's
+    class name and message — so every transport can raise exactly what the
+    serial path raises; any other failure stays a job error.
+    """
+    from ..archive.format import ArchiveError
+    from ..archive.reader import ArchiveReader
+
+    index = -1
+    try:
+        with ArchiveReader(
+            payload["path"],
+            engine=payload["engine"],
+            verify_checksums=payload["verify_checksums"],
+        ) as reader:
+            payload_bytes = 0
+            for index in payload["indices"]:
+                payload_bytes += reader.verify_frame(reader.frames[index], payload["deep"])
+    except ArchiveError as exc:
+        return {
+            "ok": False,
+            "index": index,
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
+    return {"ok": True, "payload_bytes": payload_bytes}
+
+
+def _echo(payload):
+    """Kind ``echo``: liveness/diagnostics — returns the payload."""
+    return payload
+
+
+#: Job kind → function of one payload.  Every transport runs these: inline
+#: and fork executors call them directly, socket workers serve them (their
+#: HELLO capability list is this dict's keys).
+JOBS: Dict[str, Callable] = {
+    "compress": _compress,
+    "decompress": _decompress,
+    "verify_copy": _verify_copy,
+    "verify_frames": _verify_frames,
+    "echo": _echo,
+}
+
+
+# ---------------------------------------------------------------------------
+# Sharding helpers
+# ---------------------------------------------------------------------------
 
 def shard_indices(count: int, shards: int) -> List[List[int]]:
     """Round-robin deal of ``count`` items onto at most ``shards`` shards.
@@ -127,10 +230,7 @@ def merge_shard_results(
     The inverse of :func:`shard_indices`: items return to their input
     positions, the per-shard :class:`PipelineStats` are merged, and
     accelerator reports (which arrive shard by shard) are restored to
-    frame order so merged stats read exactly like serial stats.  Shared by
-    the fork-pool executor and the socket-pool executor
-    (:mod:`repro.coding.netexec`) — the merge, like the shard contract, is
-    transport-independent.
+    frame order so merged stats read exactly like serial stats.
     """
     merged_items: List = [None] * count
     stats = PipelineStats()
@@ -151,30 +251,47 @@ def merge_shard_results(
     return merged_items, stats
 
 
+def stamp_run_stats(
+    stats: PipelineStats,
+    results: Sequence[Tuple[object, Optional[str]]],
+    concurrent: int,
+    wall: float,
+) -> None:
+    """Record how a :meth:`Executor.run` went on its merged stats.
+
+    When more than one job ran at once, or any ran on a remote worker,
+    ``workers`` becomes ``concurrent`` (jobs that could run at once:
+    ``min(width, jobs)``) and ``wall_seconds`` the run's elapsed time.  An
+    inline run leaves the serial stats untouched.
+    """
+    if concurrent > 1 or any(node is not None for _, node in results):
+        stats.workers = concurrent
+        stats.wall_seconds = wall
+
+
 def is_socket_workers(workers) -> bool:
     """Whether a ``workers=`` value names socket workers, not a pool width.
 
     Integers (and ``None``) mean a local fork pool; anything else — an
     ``"host:port,host:port"`` address string, a
     :class:`~repro.coding.netexec.WorkerPool`, a list of addresses — is
-    handed to the socket-pool executor.  The helper lives here (not in
-    :mod:`~repro.coding.netexec`) so call sites can branch without
-    importing the network layer.
+    handed to the socket-pool executor.
     """
     return workers is not None and not isinstance(workers, (int, np.integer))
 
 
-def make_executor(workers):
+def make_executor(workers) -> "Executor":
     """Resolve a ``workers=`` value to the executor that runs it.
 
     ``None`` or an integer builds a :class:`ParallelExecutor` (local fork
-    pool; 1 degenerates to serial).  Worker addresses
+    pool; 1 runs inline; below 1 is a ``ValueError``).  Worker addresses
     (``"host:port,host:port"``), a list of addresses, or a ready
     :class:`~repro.coding.netexec.WorkerPool` build a
     :class:`~repro.coding.netexec.SocketPoolExecutor` over the remote
-    workers — the seam that lets ``compress_frames(..., workers=...)``
-    and every archive call site scale past one host with zero signature
-    changes.
+    workers.  This is the only place a transport is chosen: every call
+    site — ``compress_frames``, ``decompress_frames``, the archive's
+    ``append_batch`` and ``verify`` — asks for an executor and calls
+    :meth:`Executor.run`.
     """
     if not is_socket_workers(workers):
         return ParallelExecutor(None if workers is None else int(workers))
@@ -185,14 +302,91 @@ def make_executor(workers):
     return SocketPoolExecutor(workers)
 
 
-class ParallelExecutor:
-    """Shards frame batches across a ``concurrent.futures`` process pool.
+# ---------------------------------------------------------------------------
+# Executors
+# ---------------------------------------------------------------------------
+
+class Executor:
+    """Runs :data:`JOBS`; subclasses supply the transport.
+
+    Subclasses implement :meth:`width` and :meth:`run`; batch
+    compression and decoding are written once, here, on top of them.
+    """
+
+    def width(self) -> int:
+        """How many jobs can run at once."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        kind: str,
+        payloads: Sequence[Dict],
+        prefer: Optional[Sequence[Optional[str]]] = None,
+    ) -> List[Tuple[object, Optional[str]]]:
+        """Run one ``kind`` job per payload; returns ``(result, node)`` pairs
+        in payload order (``node`` is ``None`` unless a remote worker ran the
+        job; ``prefer`` optionally names a preferred node per job)."""
+        raise NotImplementedError
+
+    def _run_sharded(self, kind: str, spec: CodecSpec, items: List) -> Tuple[List, PipelineStats]:
+        """Deal ``items`` onto shards, run one job per shard, merge in order."""
+        shards = shard_indices(len(items), self.width())
+        began = time.perf_counter()
+        results = self.run(
+            kind,
+            [{"spec": spec, "items": [items[i] for i in indices]} for indices in shards],
+        )
+        wall = time.perf_counter() - began
+        merged_items, stats = merge_shard_results(
+            shards, [(result["items"], result["stats"]) for result, _ in results], len(items)
+        )
+        stamp_run_stats(stats, results, len(shards), wall)
+        return merged_items, stats
+
+    def compress(
+        self,
+        frames: Sequence[np.ndarray],
+        spec: Optional[CodecSpec] = None,
+        **spec_kwargs,
+    ) -> CompressedBatch:
+        """Compress a batch, one job per shard; byte-identical to serial."""
+        if spec is None:
+            spec = CodecSpec.from_kwargs(**spec_kwargs)
+        else:
+            reject_spec_overrides(spec_kwargs)
+        frames = [np.asarray(frame) for frame in frames]
+        if not frames:
+            return compress_frames(frames, spec=spec)
+        streams, stats = self._run_sharded("compress", spec, frames)
+        return CompressedBatch.from_spec(spec, streams, stats)
+
+    def decompress(
+        self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
+    ) -> Tuple[List[np.ndarray], PipelineStats]:
+        """Decode a batch, one job per shard; bit-identical to serial."""
+        spec = spec if spec is not None else batch.resolved_spec()
+        if not batch.streams:
+            return decompress_frames(CompressedBatch.from_spec(spec, []))
+        return self._run_sharded("decompress", spec, list(batch.streams))
+
+    def close(self) -> None:
+        """Release transport resources (nothing to release locally)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class ParallelExecutor(Executor):
+    """Runs jobs in this process or across a ``concurrent.futures`` process pool.
 
     Parameters
     ----------
     workers:
         Pool size; ``None`` means one worker per available CPU, ``1`` means
-        run serially in this process (no pool at all).
+        run inline in this process (no pool at all).
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -202,51 +396,17 @@ class ParallelExecutor:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
 
-    # -- helpers ------------------------------------------------------------------------
-    def _run_sharded(self, task, spec: CodecSpec, items: List) -> Tuple[List, PipelineStats]:
-        """Fan ``items`` out over the pool; return per-item results in order."""
-        shards = shard_indices(len(items), self.workers)
-        began = time.perf_counter()
+    def width(self) -> int:
+        return self.workers
+
+    def run(self, kind, payloads, prefer=None):
+        """Inline at width 1 or for a single job, else one pool process per
+        job up to the width; ``prefer`` is ignored and every node is ``None``."""
+        job = JOBS[kind]
+        if self.workers == 1 or len(payloads) <= 1:
+            return [(job(payload), None) for payload in payloads]
         with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=pool_context()
+            max_workers=min(self.workers, len(payloads)), mp_context=pool_context()
         ) as pool:
-            futures = [
-                pool.submit(task, spec, [items[i] for i in indices])
-                for indices in shards
-            ]
-            results = [future.result() for future in futures]
-        wall = time.perf_counter() - began
-        merged_items, stats = merge_shard_results(shards, results, len(items))
-        stats.workers = len(shards)
-        stats.wall_seconds = wall
-        return merged_items, stats
-
-    # -- public API ---------------------------------------------------------------------
-    def compress(
-        self,
-        frames: Sequence[np.ndarray],
-        spec: Optional[CodecSpec] = None,
-        **spec_kwargs,
-    ) -> CompressedBatch:
-        """Compress a batch, sharded across the pool; byte-identical to serial."""
-        if spec is None:
-            spec = CodecSpec.from_kwargs(**spec_kwargs)
-        else:
-            reject_spec_overrides(spec_kwargs)
-        frames = [np.asarray(frame) for frame in frames]
-        if self.workers == 1 or len(frames) <= 1:
-            return compress_frames(frames, spec=spec)
-        streams, stats = self._run_sharded(_compress_shard, spec, frames)
-        return CompressedBatch.from_spec(spec, streams, stats)
-
-    def decompress(
-        self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode a batch, sharded across the pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.resolved_spec()
-        if self.workers == 1 or len(batch.streams) <= 1:
-            if batch.spec != spec:
-                batch = CompressedBatch.from_spec(spec, batch.streams)
-            return decompress_frames(batch)
-        frames, stats = self._run_sharded(_decompress_shard, spec, list(batch.streams))
-        return frames, stats
+            futures = [pool.submit(job, payload) for payload in payloads]
+            return [(future.result(), None) for future in futures]

@@ -1,18 +1,18 @@
-"""Distributed socket-pool execution: the fork-pool shard contract over TCP.
+"""Distributed socket-pool execution: the job registry served over TCP.
 
-:class:`~repro.coding.executor.ParallelExecutor` established the scale-out
-contract of this codebase — a pickled :class:`~repro.coding.spec.CodecSpec`
-plus a round-robin frame shard goes in, streams plus merged
-:class:`~repro.coding.pipeline.PipelineStats` come out, and the client
-reassembles shards in frame order.  This module speaks exactly that
-contract over sockets, so a batch can fan out past one host's cores:
+:mod:`repro.coding.executor` defines the one execution seam of this
+codebase — a job registry (:data:`~repro.coding.executor.JOBS`: ``kind`` →
+function of a payload dict) and ``Executor.run(kind, payloads, prefer)`` —
+with inline and fork-pool implementations.  This module is the third
+implementation, so work can fan out past one host's cores:
 
 ``SocketWorker`` / ``python -m repro.netexec worker --listen host:port``
     A stdlib-only worker process: accepts connections, performs the
-    HELLO version/capability handshake, and executes SUBMIT jobs
-    (compress / decompress / archive verification) through the ordinary
-    serial pipeline — which is what makes the merged output
-    **byte-identical** to serial execution, same as the fork pool.
+    HELLO version/capability handshake, and executes SUBMIT jobs by
+    looking their kind up in its ``handlers`` — by default the executor's
+    ``JOBS``, so a worker runs exactly the code the inline and fork paths
+    run, which is what makes the merged output **byte-identical** to
+    serial execution.
 ``WorkerClient`` / ``WorkerPool``
     One framed TCP connection per worker, and a pool over many: jobs are
     routed to a preferred node (the archive layer's placement maps) or
@@ -21,11 +21,13 @@ contract over sockets, so a batch can fan out past one host's cores:
     **reassigned** to another live worker (``worker_failures`` /
     ``reassignments`` counters account every switch exactly).
 ``SocketPoolExecutor``
-    Drop-in peer of :class:`ParallelExecutor` behind the
-    :func:`~repro.coding.executor.make_executor` seam — so
-    ``compress_frames(..., workers="host:port,host:port")`` (and
-    ``append_batch`` / ``verify`` / ``decode_all`` on the archive side)
-    scale out with zero call-site changes.
+    The socket ``Executor``: ``run`` fans one :meth:`WorkerPool.call` per
+    job over a thread per live worker and returns each job's result with
+    the node id that ran it.  :func:`~repro.coding.executor.make_executor`
+    builds it for any ``workers="host:port,host:port"`` value, so
+    ``compress_frames`` / ``decompress_frames`` and the archive's
+    ``append_batch`` / ``verify`` / ``decode_all`` scale out with zero
+    call-site changes.
 
 Wire protocol (version 1) — every message is one length-prefixed,
 CRC-framed unit, all integers little-endian::
@@ -67,16 +69,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .executor import merge_shard_results, shard_indices
-from .pipeline import (
-    CompressedBatch,
-    PipelineStats,
-    compress_frames,
-    decompress_frames,
-)
-from .spec import CodecSpec, reject_spec_overrides
+from .executor import JOBS, Executor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -310,63 +303,6 @@ def _format_address(address: Tuple[str, int]) -> str:
 # Worker
 # ---------------------------------------------------------------------------
 
-def _job_compress(payload: Dict) -> Dict:
-    """SUBMIT kind ``compress``: serial-compress one frame shard."""
-    batch = compress_frames(payload["items"], spec=payload["spec"])
-    return {"items": batch.streams, "stats": batch.stats}
-
-
-def _job_decompress(payload: Dict) -> Dict:
-    """SUBMIT kind ``decompress``: serial-decode one stream shard."""
-    frames, stats = decompress_frames(
-        CompressedBatch.from_spec(payload["spec"], payload["items"])
-    )
-    return {"items": frames, "stats": stats}
-
-
-def _job_verify_copy(payload: Dict) -> Dict:
-    """SUBMIT kind ``verify_copy``: verify one archive container (the
-    sharded set's per-copy unit; the worker must see the same filesystem,
-    exactly like the fork-pool verify workers it replaces)."""
-    from ..archive.sharding import _verify_copy_worker
-
-    return _verify_copy_worker(
-        payload["target"],
-        payload["deep"],
-        payload["engine"],
-        payload["verify_checksums"],
-    )
-
-
-def _job_verify_frames(payload: Dict) -> Dict:
-    """SUBMIT kind ``verify_frames``: verify a frame shard of one archive."""
-    from ..archive.reader import _verify_frames_worker
-
-    return {
-        "payload_bytes": _verify_frames_worker(
-            payload["path"],
-            payload["indices"],
-            payload["deep"],
-            payload["engine"],
-            payload["verify_checksums"],
-        )
-    }
-
-
-def _job_echo(payload):
-    """SUBMIT kind ``echo``: liveness/diagnostics — returns the payload."""
-    return payload
-
-
-DEFAULT_HANDLERS: Dict[str, Callable] = {
-    "compress": _job_compress,
-    "decompress": _job_decompress,
-    "verify_copy": _job_verify_copy,
-    "verify_frames": _job_verify_frames,
-    "echo": _job_echo,
-}
-
-
 class SocketWorker:
     """One socket worker: accept loop, handshake, job execution.
 
@@ -390,7 +326,7 @@ class SocketWorker:
     ) -> None:
         self.node = node if node else f"pid-{os.getpid()}"
         self.max_frame_bytes = int(max_frame_bytes)
-        self.handlers = dict(DEFAULT_HANDLERS if handlers is None else handlers)
+        self.handlers = dict(JOBS if handlers is None else handlers)
         self._requested = (host, int(port))
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -835,16 +771,6 @@ class WorkerPool:
         #: Jobs completed through this pool.
         self.submits = 0
 
-    @classmethod
-    def from_any(cls, workers) -> Tuple["WorkerPool", bool]:
-        """``(pool, owns)``: pass an existing pool through (borrowed),
-        build one from addresses (owned — the caller should disconnect)."""
-        if isinstance(workers, WorkerPool):
-            return workers, False
-        if isinstance(workers, SocketPoolExecutor):
-            return workers.pool, False
-        return cls(workers), True
-
     # -- bookkeeping --------------------------------------------------------------------
     @property
     def width(self) -> int:
@@ -1009,23 +935,23 @@ class WorkerPool:
 # Executor
 # ---------------------------------------------------------------------------
 
-class SocketPoolExecutor:
-    """Shards frame batches across a pool of socket workers.
+class SocketPoolExecutor(Executor):
+    """Runs :data:`~repro.coding.executor.JOBS` on a pool of socket workers.
 
-    The drop-in network peer of
-    :class:`~repro.coding.executor.ParallelExecutor`: same shard contract
-    (spec + shard in, streams + stats out), same frame-order merge
-    (:func:`~repro.coding.executor.merge_shard_results`), and therefore
-    the same guarantee — output **byte-identical** to serial execution —
-    with the worker-death → reassignment ladder of :class:`WorkerPool`
-    underneath.
+    The network implementation of :meth:`Executor.run
+    <repro.coding.executor.Executor.run>`: one thread per concurrently
+    running job fans the payloads out over :meth:`WorkerPool.call`, so the
+    worker-death → reassignment ladder of :class:`WorkerPool` sits
+    underneath every job.  Batch compression and decoding come from the
+    :class:`~repro.coding.executor.Executor` base, so the output is
+    **byte-identical** to serial execution, like the fork pool's.
 
     ``workers`` may be an ``"host:port,host:port"`` string, a list of
     addresses, or a ready :class:`WorkerPool`.  A pool built here from
-    addresses is *owned*: its connections are closed after each batch (and
+    addresses is *owned*: its connections are closed after each run (and
     on :meth:`close`), so one-shot ``compress_frames(...,
     workers="...")`` calls never leak sockets.  A caller-provided pool is
-    borrowed and its connections persist across batches.
+    borrowed and its connections persist across runs.
     """
 
     def __init__(self, workers, retry=None) -> None:
@@ -1041,75 +967,37 @@ class SocketPoolExecutor:
         """Pool width (address count), for stats parity with the fork pool."""
         return self.pool.width
 
-    # -- helpers ------------------------------------------------------------------------
-    def _run_sharded(self, kind: str, spec: CodecSpec, items: List):
+    def width(self) -> int:
+        """Live workers after connecting (unreachable ones are marked dead)."""
+        return len(self.pool.ensure_connected())
+
+    def run(self, kind, payloads, prefer=None):
+        """Job ``i`` goes to node ``prefer[i]`` when set and live, otherwise
+        to ``live[i % len(live)]``; a dead worker's job moves on to the next
+        live one.  Returns ``(result, node id that ran it)`` pairs."""
         from concurrent.futures import ThreadPoolExecutor
 
-        began = time.perf_counter()
+        if not payloads:
+            return []
+        if prefer is None:
+            prefer = [None] * len(payloads)
         try:
             live = self.pool.ensure_connected()
-            shards = shard_indices(len(items), len(live))
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
+            with ThreadPoolExecutor(max_workers=min(len(payloads), len(live))) as threads:
                 futures = [
                     threads.submit(
-                        self.pool.call,
-                        kind,
-                        {"spec": spec, "items": [items[i] for i in indices]},
-                        live[position % len(live)],
+                        self.pool.call, kind, payload, live[i % len(live)], prefer[i]
                     )
-                    for position, indices in enumerate(shards)
+                    for i, payload in enumerate(payloads)
                 ]
-                results = [future.result() for future in futures]
+                return [future.result() for future in futures]
         finally:
             if self._owns_pool:
                 self.pool.disconnect()
-        wall = time.perf_counter() - began
-        merged_items, stats = merge_shard_results(
-            shards, [(r["items"], r["stats"]) for r, _node in results], len(items)
-        )
-        stats.workers = len(shards)
-        stats.wall_seconds = wall
-        return merged_items, stats
-
-    # -- public API ---------------------------------------------------------------------
-    def compress(
-        self,
-        frames: Sequence[np.ndarray],
-        spec: Optional[CodecSpec] = None,
-        **spec_kwargs,
-    ) -> CompressedBatch:
-        """Compress a batch across the socket pool; byte-identical to serial."""
-        if spec is None:
-            spec = CodecSpec.from_kwargs(**spec_kwargs)
-        else:
-            reject_spec_overrides(spec_kwargs)
-        frames = [np.asarray(frame) for frame in frames]
-        if not frames:
-            return compress_frames(frames, spec=spec)
-        streams, stats = self._run_sharded("compress", spec, frames)
-        return CompressedBatch.from_spec(spec, streams, stats)
-
-    def decompress(
-        self, batch: CompressedBatch, spec: Optional[CodecSpec] = None
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode a batch across the socket pool; bit-identical to serial."""
-        spec = spec if spec is not None else batch.resolved_spec()
-        if not batch.streams:
-            if batch.spec != spec:
-                batch = CompressedBatch.from_spec(spec, batch.streams)
-            return decompress_frames(batch)
-        return self._run_sharded("decompress", spec, list(batch.streams))
 
     def close(self) -> None:
         if self._owns_pool:
             self.pool.disconnect()
-
-    def __enter__(self) -> "SocketPoolExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
 
 # ---------------------------------------------------------------------------
 # Local worker processes (benchmarks, tests, CI)

@@ -257,6 +257,26 @@ class TestPlacedAppend:
             assert reader.verify(deep=True)["deep"]
 
 
+    def test_stats_workers_count_jobs_not_pool_width(self, tmp_path, addresses):
+        """Two frames landing in two of four shards are two jobs: every
+        transport reports ``stats.workers == 2``, however wide its pool."""
+        from repro.archive import HashRouter
+        from repro.coding import compress_frames
+
+        router = HashRouter(4)
+        first = "slice_000"
+        second = next(n for n in names_for(20) if router.route(n) != router.route(first))
+        frames = series(count=2)
+        with SocketWorker(node="node2") as extra:
+            sockets = ",".join([*addresses, extra.address])
+            for label, workers in (("socket3", sockets), ("fork3", 3)):
+                path = tmp_path / f"{label}.dwts"
+                with ShardedArchiveWriter.create(path, shards=4, scales=2) as writer:
+                    writer.append_batch(frames, names=[first, second], workers=workers)
+                    assert writer.stats.workers == 2, label
+            assert compress_frames(frames, scales=2, workers=sockets).stats.workers == 2
+
+
 class TestPlacedVerify:
     def test_verify_routes_to_placed_workers(self, tmp_path, addresses):
         names = shard_file_names(tmp_path / "v.dwts", 2)

@@ -18,6 +18,8 @@ from repro.archive import (
     open_archive,
 )
 from repro.archive.format import MANIFEST_VERSION, pack_manifest, unpack_manifest
+from repro.archive.replication import repair_set
+from repro.coding import compress_frames
 from repro.coding.spec import CodecSpec
 from repro.imaging import ct_slice_series
 
@@ -257,6 +259,56 @@ class TestShardedWriter:
             decoded, _ = reader.decode_all()
             for image, original in zip(decoded, frames):
                 assert np.array_equal(image, original)
+
+
+# -- workers validation -----------------------------------------------------------------
+
+class TestWorkersValidation:
+    """Every call site resolves ``workers`` through the one executor seam,
+    so a width below 1 is rejected everywhere instead of silently running
+    serially on some paths."""
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "compress_frames",
+            "ArchiveReader.verify",
+            "ShardedArchiveReader.verify",
+            "repair_set",
+            "ShardedArchiveWriter.append_batch",
+        ],
+    )
+    def test_width_below_one_is_rejected(self, tmp_path, call, workers):
+        frames = series(count=2)
+        sharded = make_set(tmp_path, 2, frames)
+        plain = tmp_path / "plain.dwta"
+        with ArchiveWriter.create(plain) as writer:
+            writer.append_batch(frames)
+
+        def verify_plain():
+            with ArchiveReader(plain) as reader:
+                reader.verify(workers=workers)
+
+        def verify_set():
+            with ShardedArchiveReader(sharded) as reader:
+                reader.verify(workers=workers)
+
+        def append():
+            with ShardedArchiveWriter.append(sharded) as writer:
+                writer.append_batch(series(count=2, seed=5), names=["x0", "x1"], workers=workers)
+
+        calls = {
+            "compress_frames": lambda: compress_frames(frames, workers=workers),
+            "ArchiveReader.verify": verify_plain,
+            "ShardedArchiveReader.verify": verify_set,
+            "repair_set": lambda: repair_set(sharded, workers=workers),
+            "ShardedArchiveWriter.append_batch": append,
+        }
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            calls[call]()
+        with ShardedArchiveReader(sharded) as reader:
+            assert len(reader) == 2  # a rejected append wrote nothing
 
 
 # -- open_archive dispatch --------------------------------------------------------------

@@ -15,8 +15,20 @@ import time
 import numpy as np
 import pytest
 
+from repro.archive import (
+    ArchiveError,
+    ArchiveIntegrityError,
+    ArchiveReader,
+    ArchiveWriter,
+    ReplicatedShardSet,
+    ShardedArchiveReader,
+    ShardedArchiveWriter,
+)
+from repro.archive.cli import main as archive_cli
+from repro.archive.sharding import shard_file_names
 from repro.coding import compress_frames, decompress_frames
 from repro.coding.executor import (
+    JOBS,
     ParallelExecutor,
     default_workers,
     is_socket_workers,
@@ -145,6 +157,169 @@ class TestByteIdentity:
         sockets = SocketPoolExecutor(",".join(addresses[:2])).compress(frames, spec)
         for a, b in zip(fork.streams, sockets.streams):
             assert _chunks(a) == _chunks(b)
+
+
+#: The three transports behind ``make_executor``, as ``workers=`` values.
+TRANSPORTS = ("inline", "fork-2", "socket-2")
+
+
+def transport_workers(transport, addresses):
+    return {"inline": 1, "fork-2": 2, "socket-2": ",".join(addresses[:2])}[transport]
+
+
+def flip_payload_byte(path, index):
+    """Corrupt one byte in the middle of frame ``index``'s payload."""
+    with ArchiveReader(path) as reader:
+        entry = reader.frames[index]
+    data = bytearray(path.read_bytes())
+    data[entry.offset + entry.length // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def placed_on_two_nodes(path, shards):
+    names = shard_file_names(path, shards)
+    return {name: f"node{i % 2}" for i, name in enumerate(names)}
+
+
+class TestTransportParity:
+    """Every registry kind, and every archive call site built on it, gives
+    the same answer inline, on a fork pool and on socket workers; only the
+    socket leg moves placement counters (local runs report ``node=None``)."""
+
+    def test_every_registry_kind_matches(self, tmp_path, addresses):
+        frames = mixed_batch_32()[:6]
+        spec = CodecSpec(codec="s-transform", scales=3)
+        streams = compress_frames(frames, spec=spec).streams
+        path = tmp_path / "kinds.dwta"
+        with ArchiveWriter.create(path, spec=spec) as writer:
+            writer.append_batch(frames)
+        check = {"deep": True, "engine": "fast", "verify_checksums": True}
+        payloads = {
+            "compress": [{"spec": spec, "items": frames[:3]}, {"spec": spec, "items": frames[3:]}],
+            "decompress": [
+                {"spec": spec, "items": streams[:3]},
+                {"spec": spec, "items": streams[3:]},
+            ],
+            "verify_copy": [{"target": str(path), **check}] * 2,
+            "verify_frames": [
+                {"path": str(path), "indices": [0, 2, 4], **check},
+                {"path": str(path), "indices": [1, 3, 5], **check},
+            ],
+            "echo": [{"x": 1}, [2, 3]],
+        }
+        assert set(payloads) == set(JOBS)
+
+        def canonical(kind, result):
+            if kind == "compress":
+                return [stream.chunks for stream in result["items"]]
+            if kind == "decompress":
+                return [frame.tolist() for frame in result["items"]]
+            return result
+
+        for kind, jobs in payloads.items():
+            seen = {}
+            for transport in TRANSPORTS:
+                runs = make_executor(transport_workers(transport, addresses)).run(kind, jobs)
+                nodes = {node for _, node in runs}
+                if transport == "socket-2":
+                    assert nodes <= {"node0", "node1"}
+                else:
+                    assert nodes == {None}
+                seen[transport] = [canonical(kind, result) for result, _ in runs]
+            assert seen["inline"] == seen["fork-2"] == seen["socket-2"], kind
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_append_batch_writes_identical_files(self, tmp_path, addresses, replicas):
+        frames = mixed_batch_32()[:8]
+        names = [f"frame_{i:02d}" for i in range(len(frames))]
+        files = {}
+        for transport in TRANSPORTS:
+            path = tmp_path / transport / "set.dwts"
+            path.parent.mkdir()
+            placement = placed_on_two_nodes(path, 3)
+            if replicas:
+                writer = ReplicatedShardSet.create(
+                    path, shards=3, replicas=replicas, scales=3, placement=placement
+                )
+            else:
+                writer = ShardedArchiveWriter.create(path, shards=3, scales=3, placement=placement)
+            with writer:
+                writer.append_batch(
+                    frames, names=names, workers=transport_workers(transport, addresses)
+                )
+                filled = len({writer.router.route(name) for name in names})
+                counters = (writer.placement_hits, writer.placement_fallbacks)
+            assert counters == ((filled, 0) if transport == "socket-2" else (0, 0))
+            files[transport] = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+        assert len(files["inline"]) == 1 + 3 * (1 + replicas)
+        assert files["inline"] == files["fork-2"] == files["socket-2"]
+
+    def test_sharded_verify_reports_match(self, tmp_path, addresses):
+        frames = mixed_batch_32()[:8]
+        path = tmp_path / "rep.dwts"
+        with ReplicatedShardSet.create(
+            path, shards=2, replicas=1, scales=3, placement=placed_on_two_nodes(path, 2)
+        ) as writer:
+            writer.append_batch(frames, names=[f"frame_{i:02d}" for i in range(len(frames))])
+            replica = path.parent / writer.manifest.replica_names[0][0]
+
+        def reports():
+            out = {}
+            for transport in TRANSPORTS:
+                with ShardedArchiveReader(path) as reader:
+                    workers = transport_workers(transport, addresses)
+                    out[transport] = reader.verify(deep=True, workers=workers, strict=False)
+                    counters = (reader.placement_hits, reader.placement_fallbacks)
+                assert counters == ((4, 0) if transport == "socket-2" else (0, 0))
+            assert out["inline"] == out["fork-2"] == out["socket-2"]
+            return out["inline"]
+
+        assert reports()["failures"] == {}
+        flip_payload_byte(replica, 0)
+        damaged = reports()
+        assert list(damaged["failures"]) == [replica.name]
+        assert "ArchiveIntegrityError" in damaged["failures"][replica.name]
+
+    def test_plain_verify_reports_and_errors_match(self, tmp_path, addresses):
+        frames = mixed_batch_32()[:6]
+        path = tmp_path / "plain.dwta"
+        with ArchiveWriter.create(path, scales=3) as writer:
+            writer.append_batch(frames)
+        healthy = {}
+        for transport in TRANSPORTS:
+            with ArchiveReader(path) as reader:
+                healthy[transport] = reader.verify(
+                    deep=True, workers=transport_workers(transport, addresses)
+                )
+        assert healthy["inline"] == healthy["fork-2"] == healthy["socket-2"]
+        # Frames 3 and 4 sit in different shards of a two-way split; every
+        # transport must stop where the serial path does, at frame 3.
+        flip_payload_byte(path, 3)
+        flip_payload_byte(path, 4)
+        errors = {}
+        for transport in TRANSPORTS:
+            with ArchiveReader(path) as reader:
+                with pytest.raises(ArchiveError) as info:
+                    reader.verify(deep=True, workers=transport_workers(transport, addresses))
+            errors[transport] = (type(info.value), str(info.value))
+        assert errors["inline"] == errors["fork-2"] == errors["socket-2"]
+        assert errors["inline"][0] is ArchiveIntegrityError
+        assert "frame_00003" in errors["inline"][1]
+
+    def test_cli_verify_of_damaged_plain_archive_over_sockets(
+        self, tmp_path, addresses, capsys
+    ):
+        path = tmp_path / "cli.dwta"
+        with ArchiveWriter.create(path, scales=3) as writer:
+            writer.append_batch(mixed_batch_32()[:4])
+        flip_payload_byte(path, 1)
+        sockets = ",".join(addresses[:2])
+        assert archive_cli(["verify", str(path), "--deep", "--workers", sockets]) == 1
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert archive_cli(["verify", str(path), "--deep"]) == 1
+        assert capsys.readouterr().err == err
 
 
 class TestExecutorSeam:
