@@ -58,7 +58,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..coding.spec import codec_names
+from ..coding.spec import ENGINE_NAMES, codec_names
 from ..imaging.dataset import archive_dataset
 from ..imaging.io_pgm import read_pgm, write_pgm
 from .format import LAYOUT_FRAME_MAJOR, LAYOUTS, ArchiveError
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pack.add_argument(
         "--engine",
-        choices=("fast", "scalar", "turbo"),
+        choices=ENGINE_NAMES,
         default=None,
         help="entropy-coding engine tier (default: REPRO_ENGINE or fast)",
     )
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--engine",
-        choices=("fast", "scalar", "turbo"),
+        choices=ENGINE_NAMES,
         default=None,
         help="decode engine tier (default: REPRO_ENGINE or fast)",
     )

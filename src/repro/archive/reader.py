@@ -45,7 +45,7 @@ from ..coding.pipeline import (
     PipelineStats,
     decompress_frames,
 )
-from ..coding.spec import CodecSpec, default_engine
+from ..coding.spec import CodecSpec, resolve_engine
 from .backend import FileBackend, RetryPolicy, StorageBackend, resolve_backend
 from .format import (
     ArchiveError,
@@ -103,10 +103,10 @@ class ArchiveReader:
         Archive file to open — a filesystem path or any
         :class:`~repro.archive.backend.StorageBackend`.
     engine:
-        Entropy-coding engine for decoding (``"fast"``, ``"scalar"`` or
-        ``"turbo"``); ``None`` (the default) resolves through
-        :func:`~repro.coding.spec.default_engine` (the ``REPRO_ENGINE``
-        environment variable, else ``"fast"``).
+        Entropy-coding engine for decoding (``"fast"`` or ``"scalar"``),
+        resolved — and an unknown name rejected — by
+        :func:`~repro.coding.spec.resolve_engine`; ``None`` (the default)
+        means the ``REPRO_ENGINE`` environment variable, else ``"fast"``.
     verify_checksums:
         Check each payload's CRC-32 on every read (default).  Disable only
         for benchmarking the raw retrieval path.
@@ -137,7 +137,7 @@ class ArchiveReader:
         #: :class:`~repro.archive.backend.FileBackend`).
         self.backend = resolve_backend(path)
         self.path = Path(self.backend.describe())
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = resolve_engine(engine)
         self.verify_checksums = verify_checksums
         #: Whether payload reads may take the backend's zero-copy path.
         self.zero_copy = bool(zero_copy)

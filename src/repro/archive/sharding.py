@@ -57,7 +57,7 @@ from ..coding.pipeline import (
     PipelineStats,
     decompress_frames,
 )
-from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
+from ..coding.spec import CodecSpec, reject_spec_overrides, resolve_engine
 from .backend import RetryPolicy, StorageBackend
 from .format import (
     LAYOUT_FRAME_MAJOR,
@@ -638,7 +638,7 @@ class ShardedArchiveReader:
         zero_copy: bool = True,
     ) -> None:
         self.path = Path(path)
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = resolve_engine(engine)
         self.verify_checksums = verify_checksums
         #: Whether per-copy readers may serve payloads zero-copy (mmap).
         self.zero_copy = bool(zero_copy)

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..coding.pipeline import CompressedBatch, PipelineStats, compress_frames
-from ..coding.spec import CodecSpec, default_engine, reject_spec_overrides
+from ..coding.spec import CodecSpec, reject_spec_overrides, resolve_engine
 from .backend import StorageBackend, resolve_backend
 from .format import (
     HEADER_SIZE,
@@ -220,7 +220,7 @@ class ArchiveWriter:
                     # spec; explicit keywords still override field by field.
                     inherited = frame_spec(entries[-1])
                     spec = inherited.replace(
-                        engine=engine if engine is not None else default_engine(),
+                        engine=resolve_engine(engine),
                         scales=scales if scales is not None else inherited.scales,
                     ).replace_options(**codec_options)
                 else:

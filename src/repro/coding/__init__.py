@@ -11,7 +11,7 @@ Public API
     Batched end-to-end pipeline over many frames with per-stage timing.
 ``CompressedImage`` / ``CompressedSImage`` / ``SubbandChunk``
     Compressed-stream containers with size/ratio accounting.
-``rice_encode`` / ``huffman_encode`` / ``rle_encode`` and friends
+``rice_encode`` / ``rle_encode`` and friends
     The underlying entropy-coding primitives.  Every block coder ships a
     vectorised implementation (built on :mod:`repro.coding.fastbits`) and a
     bit-by-bit ``*_scalar`` reference producing byte-identical streams.
@@ -38,7 +38,6 @@ from .pipeline import (
 )
 from .spec import (
     ENGINE_NAMES,
-    TRANSFORM_ENGINE_NAMES,
     CodecFamily,
     CodecSpec,
     UnknownCodecError,
@@ -46,6 +45,7 @@ from .spec import (
     default_engine,
     get_family,
     register_codec,
+    resolve_engine,
 )
 from .s_transform import (
     CompressedSImage,
@@ -57,16 +57,6 @@ from .s_transform import (
     s_transform_inverse_2d,
     s_transform_inverse_roi,
 )
-from .huffman import (
-    HuffmanCode,
-    build_code_lengths,
-    canonical_codes,
-    huffman_decode,
-    huffman_decode_scalar,
-    huffman_decode_turbo,
-    huffman_encode,
-    huffman_encode_scalar,
-)
 from .mapper import flatten_pyramid, pyramid_scan, zigzag_decode, zigzag_encode
 from .rice import (
     optimal_rice_parameter,
@@ -74,9 +64,7 @@ from .rice import (
     rice_cost_matrix,
     rice_decode,
     rice_decode_array,
-    rice_decode_array_turbo,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_decode_value,
     rice_encode,
     rice_encode_scalar,
@@ -120,7 +108,6 @@ __all__ = [
     "encode_pipeline",
     "max_dyadic_scales",
     "ENGINE_NAMES",
-    "TRANSFORM_ENGINE_NAMES",
     "CodecFamily",
     "CodecSpec",
     "UnknownCodecError",
@@ -128,6 +115,7 @@ __all__ = [
     "default_engine",
     "get_family",
     "register_codec",
+    "resolve_engine",
     "ParallelExecutor",
     "default_workers",
     "is_socket_workers",
@@ -140,14 +128,6 @@ __all__ = [
     "s_transform_inverse_1d",
     "s_transform_inverse_2d",
     "s_transform_inverse_roi",
-    "HuffmanCode",
-    "build_code_lengths",
-    "canonical_codes",
-    "huffman_decode",
-    "huffman_decode_scalar",
-    "huffman_decode_turbo",
-    "huffman_encode",
-    "huffman_encode_scalar",
     "flatten_pyramid",
     "pyramid_scan",
     "zigzag_decode",
@@ -157,9 +137,7 @@ __all__ = [
     "rice_cost_matrix",
     "rice_decode",
     "rice_decode_array",
-    "rice_decode_array_turbo",
     "rice_decode_scalar",
-    "rice_decode_turbo",
     "rice_decode_value",
     "rice_encode",
     "rice_encode_scalar",

@@ -2,7 +2,7 @@
 
 :class:`BitWriter` packs bits MSB-first into a ``bytes`` object;
 :class:`BitReader` reads them back.  Both also provide fixed-width unsigned
-integer helpers, which is all the Rice and Huffman coders need.
+integer helpers, which is all the Rice coders need.
 """
 
 from __future__ import annotations

@@ -140,11 +140,11 @@ class LosslessWaveletCodec:
     plan:
         Optional word-length plan override for the underlying transform.
     engine:
-        Entropy-coding implementation tier: ``"fast"`` (vectorised),
-        ``"scalar"`` (the bit-by-bit reference) or ``"turbo"`` (whose Rice
-        coders are the fast ones).  All tiers produce byte-identical
-        streams; any engine decodes any other's output.  ``None`` (the
-        default) resolves through :func:`repro.coding.spec.default_engine`.
+        Entropy-coding implementation tier: ``"fast"`` (vectorised) or
+        ``"scalar"`` (the bit-by-bit reference).  Both produce
+        byte-identical streams; either engine decodes the other's output.
+        Resolved by :func:`repro.coding.spec.resolve_engine` (``None``, the
+        default, means :func:`~repro.coding.spec.default_engine`).
     """
 
     def __init__(
@@ -158,23 +158,17 @@ class LosslessWaveletCodec:
     ) -> None:
         # Imported here, not at module top: the registry module imports this
         # one while it initialises (see spec._register_builtin_families).
-        from .spec import ENGINE_NAMES, default_engine
+        from .spec import resolve_engine
 
         if isinstance(bank, str):
             bank = get_bank(bank)
         if bit_depth < 1 or bit_depth > 16:
             raise ValueError("bit_depth must be in [1, 16]")
-        if engine is None:
-            engine = default_engine()
-        if engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {ENGINE_NAMES})"
-            )
         self.bank = bank
         self.scales = scales
         self.bit_depth = bit_depth
         self.use_rle = use_rle
-        self.engine = engine
+        self.engine = resolve_engine(engine)
         self.plan = plan if plan is not None else plan_word_lengths(bank, scales)
         self.transform = FixedPointDWT(bank, scales, plan=self.plan)
 
@@ -255,7 +249,6 @@ class LosslessWaveletCodec:
         return self.encode_pyramid(pyramid, image.shape)
 
     def _rice_encode(self, symbols: np.ndarray) -> bytes:
-        # Turbo's Rice coders are the fast ones.
         if self.engine == "scalar":
             return rice_encode_planar_scalar(symbols)
         return rice_encode_planar(symbols)

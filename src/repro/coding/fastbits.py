@@ -17,12 +17,12 @@ byte exactly like ``BitWriter.getvalue``.
 
 Sequential decoding without Python loops
 ----------------------------------------
-Variable-length codes (interleaved Rice, Huffman) have a sequential
-dependency: the start of symbol ``i + 1`` depends on the length of symbol
-``i``.  The decoders break that dependency with :func:`orbit`, which follows
-a precomputed "successor" array through pointer doubling — ``O(n log n)``
-array gathers instead of ``O(total bits)`` Python iterations.  (Planar Rice
-blocks keep quotient boundaries in a plane of their own and need no walk.)
+Legacy interleaved Rice blocks have a sequential dependency: the start of
+symbol ``i + 1`` depends on the length of symbol ``i``.  Their decoder breaks
+that dependency with :func:`orbit`, which follows a precomputed "successor"
+array through pointer doubling — ``O(n log n)`` array gathers instead of
+``O(total bits)`` Python iterations.  (Planar Rice blocks, which every codec
+writes, keep quotient boundaries in a plane of their own and need no walk.)
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "pack_uint_fields",
     "read_uint",
     "read_uints",
-    "bit_windows64",
     "orbit",
 ]
 
@@ -119,30 +118,6 @@ def read_uints(bits: np.ndarray, offset: int, count: int, width: int) -> np.ndar
     block = bits[offset:end].reshape(count, width).astype(np.int64)
     weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
     return block @ weights
-
-
-def bit_windows64(data) -> np.ndarray:
-    """64-bit big-endian bit windows of a byte stream, one per byte offset.
-
-    ``windows[i]`` holds bits ``8 * i .. 8 * i + 63`` of the stream (MSB
-    first), zero-padded past the end — so
-    ``(windows[p >> 3] << (p & 7)) >> (64 - w)`` peeks the ``w``-bit
-    big-endian field at *any* bit position ``p`` (``w <= 57``) with two
-    gathers.  The turbo Huffman decoder uses this to read every candidate
-    code word of a block in one vector expression instead of one shift/or
-    pass per bit.  Accepts anything :func:`numpy.frombuffer` does
-    (``bytes``, ``bytearray``, ``memoryview`` — no copy of the input).
-    """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    n = raw.size
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    padded = np.zeros(n + 8, dtype=np.uint64)
-    padded[:n] = raw
-    windows = np.zeros(n, dtype=np.uint64)
-    for i in range(8):
-        windows |= padded[i : i + n] << np.uint64(56 - 8 * i)
-    return windows
 
 
 #: Block size of the :func:`orbit` jump table (must be a power of two).

@@ -651,7 +651,7 @@ def compress_frames(
     are folded into one via :meth:`CodecSpec.from_kwargs` (omitted
     keywords mean s-transform codec, 4 scales, software transform and the
     :func:`~repro.coding.spec.default_engine` entropy tier — ``fast``, or
-    ``scalar``/``turbo`` when ``REPRO_ENGINE`` forces one).  Passing
+    ``scalar`` when ``REPRO_ENGINE`` forces it).  Passing
     ``spec`` together with any explicit keyword is an error, never a
     silent override.
 

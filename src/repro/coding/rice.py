@@ -60,8 +60,6 @@ __all__ = [
     "rice_encode_planar_scalar",
     "rice_decode",
     "rice_decode_array",
-    "rice_decode_array_turbo",
-    "rice_decode_turbo",
     "rice_encode_scalar",
     "rice_decode_scalar",
     "is_planar_block",
@@ -354,6 +352,10 @@ def _decode_interleaved(data) -> np.ndarray:
     zero terminating the *next* quotient has index ``j + 1 + (zeros among the
     k remainder bits after j)`` — a successor map that :func:`orbit` follows
     for all symbols at once.
+
+    Every code ends in exactly one zero, so a ``count`` larger than the
+    zeros left after the header is rejected before anything is sized from
+    it: a hostile count fails in time and memory bounded by the block.
     """
     bits = unpack_bits(data)
     k = read_uint(bits, 0, 8)
@@ -368,22 +370,25 @@ def _decode_interleaved(data) -> np.ndarray:
     zero_positions = np.flatnonzero(bits == 0).astype(np.int32)
     nzeros = zero_positions.size
     first = int(np.searchsorted(zero_positions, start))
-    if first >= nzeros:
-        raise EOFError("bitstream exhausted")
+    if count > nzeros - first:
+        raise EOFError(
+            f"interleaved Rice block declares {count} symbols but holds only "
+            f"{nzeros - first} code terminators"
+        )
     if k == 0:
         terminator_idx = first + np.arange(count, dtype=np.int64)
-        if int(terminator_idx[-1]) >= nzeros:
-            raise EOFError("bitstream exhausted")
     else:
         # successor[j]: index of the zero terminating the next code when zero
         # j terminates the current one — skip the zeros that fall inside the
-        # k remainder bits after j.
-        skipped = _skipped_zero_counts(zero_positions, k)
-        successor = np.minimum(
-            np.arange(1, nzeros + 1, dtype=np.int32) + skipped, nzeros - 1
-        )
+        # k remainder bits after j.  Index nzeros is an absorbing sink for
+        # "no zero left", so a truncated block ends the walk there instead of
+        # landing on a zero inside the previous code's remainder bits.
+        successor = np.empty(nzeros + 1, dtype=np.int32)
+        successor[:nzeros] = np.arange(1, nzeros + 1, dtype=np.int32)
+        successor[:nzeros] += _skipped_zero_counts(zero_positions, k)
+        successor[nzeros] = nzeros
         terminator_idx = orbit(successor, first, count)
-        if count > 1 and np.any(np.diff(terminator_idx) <= 0):
+        if int(terminator_idx[-1]) >= nzeros:
             raise EOFError("bitstream exhausted")
     terminators = zero_positions[terminator_idx].astype(np.int64)
     starts = np.empty(count, dtype=np.int64)
@@ -415,13 +420,6 @@ def rice_decode_array(data) -> np.ndarray:
 def rice_decode(data) -> List[int]:
     """Decode a block of either layout (list-of-int API)."""
     return rice_decode_array(data).tolist()
-
-
-#: The turbo tier's Rice decoders are the fast ones: a separate turbo decode
-#: of interleaved blocks measured 1.005x, and planar blocks leave no
-#: sequential walk to shorten.
-rice_decode_array_turbo = rice_decode_array
-rice_decode_turbo = rice_decode
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,11 @@ class STransformCodec:
     """Compressive lossless codec: integer S-transform + zig-zag + Rice.
 
     ``engine`` selects the entropy-coding implementation tier: ``"fast"``
-    (the vectorised :mod:`repro.coding.fastbits`-based coder), ``"scalar"``
-    (the bit-by-bit reference) or ``"turbo"`` (whose Rice coders are the fast
-    ones).  All tiers produce byte-identical streams; any engine decodes any
-    other's output.  ``None`` (the default) resolves through
-    :func:`repro.coding.spec.default_engine`.
+    (the vectorised :mod:`repro.coding.fastbits`-based coder) or ``"scalar"``
+    (the bit-by-bit reference).  Both produce byte-identical streams; either
+    engine decodes the other's output.  Resolved by
+    :func:`repro.coding.spec.resolve_engine` (``None``, the default, means
+    :func:`~repro.coding.spec.default_engine`).
     """
 
     def __init__(
@@ -244,21 +244,15 @@ class STransformCodec:
     ) -> None:
         # Imported here, not at module top: the registry module imports this
         # one while it initialises (see spec._register_builtin_families).
-        from .spec import ENGINE_NAMES, default_engine
+        from .spec import resolve_engine
 
         if scales < 1:
             raise ValueError("scales must be >= 1")
         if not 1 <= bit_depth <= 16:
             raise ValueError("bit_depth must be in [1, 16]")
-        if engine is None:
-            engine = default_engine()
-        if engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {ENGINE_NAMES})"
-            )
         self.scales = scales
         self.bit_depth = bit_depth
-        self.engine = engine
+        self.engine = resolve_engine(engine)
 
     # -- stage API (used by the batched pipeline for per-stage timing) ------------------
     def forward_transform(self, image: np.ndarray) -> STransformPyramid:
@@ -360,7 +354,6 @@ class STransformCodec:
     ) -> None:
         flat = np.asarray(band, dtype=np.int64).ravel()
         symbols = zigzag_encode(flat)
-        # Turbo's Rice coders are the fast ones.
         encode = (
             rice_encode_planar_scalar if self.engine == "scalar" else rice_encode_planar
         )

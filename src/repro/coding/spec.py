@@ -36,9 +36,9 @@ from ..filters.qmf import BiorthogonalBank
 
 __all__ = [
     "ENGINE_NAMES",
-    "TRANSFORM_ENGINE_NAMES",
     "TRANSFORM_NAMES",
     "default_engine",
+    "resolve_engine",
     "UnknownCodecError",
     "CodecFamily",
     "register_codec",
@@ -51,18 +51,38 @@ __all__ = [
 ]
 
 #: Entropy-coding engine tiers every codec ships: ``"fast"`` (vectorised
-#: NumPy), ``"scalar"`` (bit-by-bit reference) and ``"turbo"`` (prefix-LUT
-#: Huffman decode; its Rice coders and every encoder are the fast ones).  All
-#: tiers are byte-identical on the wire.
-ENGINE_NAMES = ("fast", "scalar", "turbo")
-
-#: Accelerator engine implementations (:data:`repro.arch.accelerator.ENGINES`);
-#: the architecture model has no turbo tier, so ``transform_engine`` is
-#: validated against this narrower set.
-TRANSFORM_ENGINE_NAMES = ("fast", "scalar")
+#: NumPy) and ``"scalar"`` (bit-by-bit reference).  Both are byte-identical
+#: on the wire.  The accelerator model (``transform_engine``) has the same
+#: two tiers.
+ENGINE_NAMES = ("fast", "scalar")
 
 #: Transform-stage back ends of the pipeline.
 TRANSFORM_NAMES = ("software", "accelerator")
+
+
+def _check_engine(label: str, engine: str) -> str:
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown {label} {engine!r} (expected one of {ENGINE_NAMES})"
+        )
+    return engine
+
+
+def resolve_engine(engine: Optional[str]) -> str:
+    """The entropy-coding engine tier ``engine`` names.
+
+    ``None`` resolves through :func:`default_engine`; ``"turbo"`` — once a
+    third tier that ran the fast coders — is read as ``"fast"`` so stored
+    manifest specs and ``REPRO_ENGINE=turbo`` still load.  Any other name
+    outside :data:`ENGINE_NAMES` raises :class:`ValueError`.  Every layer
+    that takes an ``engine=`` resolves it here.
+    """
+    if engine is None:
+        return default_engine()
+    # Read-compat alias of the retired turbo tier.
+    if engine == "turbo":
+        return "fast"
+    return _check_engine("engine", engine)
 
 
 def default_engine() -> str:
@@ -75,8 +95,10 @@ def default_engine() -> str:
     engine = os.environ.get("REPRO_ENGINE", "").strip()
     if not engine:
         return "fast"
-    _check_engine("REPRO_ENGINE engine", engine)
-    return engine
+    try:
+        return resolve_engine(engine)
+    except ValueError as exc:
+        raise ValueError(f"REPRO_ENGINE: {exc}") from None
 
 
 class UnknownCodecError(ValueError):
@@ -207,15 +229,6 @@ _register_builtin_families()
 # CodecSpec
 # ---------------------------------------------------------------------------
 
-def _check_engine(
-    label: str, engine: str, allowed: Tuple[str, ...] = ENGINE_NAMES
-) -> None:
-    if engine not in allowed:
-        raise ValueError(
-            f"unknown {label} {engine!r} (expected one of {allowed})"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class CodecSpec:
     """Frozen, validated description of one full compression configuration.
@@ -228,17 +241,16 @@ class CodecSpec:
         Requested decomposition depth (clamped per frame by the pipeline to
         what each frame's geometry supports).
     engine:
-        Entropy-coding engine tier, ``"fast"``, ``"scalar"`` or ``"turbo"``
-        (all byte-identical on the wire).  ``None`` (the default) resolves
-        through :func:`default_engine`, i.e. ``"fast"`` unless the
-        ``REPRO_ENGINE`` environment variable forces a tier.
+        Entropy-coding engine tier, ``"fast"`` or ``"scalar"`` (both
+        byte-identical on the wire), resolved by :func:`resolve_engine`:
+        ``None`` (the default) means ``"fast"`` unless the ``REPRO_ENGINE``
+        environment variable forces a tier.
     transform:
         Transform back end, ``"software"`` or ``"accelerator"`` (the latter
         only for families with ``supports_accelerator``).
     transform_engine:
         Accelerator engine when ``transform="accelerator"`` — ``"fast"`` or
-        ``"scalar"`` only (:data:`TRANSFORM_ENGINE_NAMES`); the architecture
-        model has no turbo tier.
+        ``"scalar"`` (:data:`ENGINE_NAMES`, with no read-compat alias).
     bit_depth:
         Input image bit depth.
     bank:
@@ -278,10 +290,8 @@ class CodecSpec:
             raise ValueError("scales must be >= 1")
         if not 1 <= self.bit_depth <= 16:
             raise ValueError("bit_depth must be in [1, 16]")
-        if self.engine is None:
-            object.__setattr__(self, "engine", default_engine())
-        _check_engine("engine", self.engine)
-        _check_engine("transform_engine", self.transform_engine, TRANSFORM_ENGINE_NAMES)
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
+        _check_engine("transform_engine", self.transform_engine)
         if self.transform not in TRANSFORM_NAMES:
             raise ValueError(
                 f"unknown transform {self.transform!r} "

@@ -175,6 +175,51 @@ class TestCornerCases:
         with ArchiveReader(path, engine="scalar") as reader:
             assert np.array_equal(reader.decode(5), frames[5])
 
+    def test_engine_resolved_when_opened(self, mixed_archive):
+        path, frames = mixed_archive
+        # A bad name fails at open, not at the first decode.
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            ArchiveReader(path, engine="bogus")
+        # The retired turbo tier is read as fast.
+        with ArchiveReader(path, engine="turbo") as reader:
+            assert reader.engine == "fast"
+            assert np.array_equal(reader.decode(5), frames[5])
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [(None, "fast"), ("fast", "fast"), ("scalar", "scalar"), ("turbo", "fast")],
+    )
+    def test_reader_stores_resolved_engine(self, mixed_archive, monkeypatch, name, expected):
+        path, frames = mixed_archive
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with ArchiveReader(path, engine=name) as reader:
+            assert reader.engine == expected
+            assert np.array_equal(reader.decode(2), frames[2])
+
+    @pytest.mark.parametrize("name", ["", "FAST", "huffman"])
+    def test_reader_rejects_unknown_engine_at_open(self, mixed_archive, name):
+        path, _ = mixed_archive
+        with pytest.raises(ValueError, match="unknown engine"):
+            ArchiveReader(path, engine=name)
+
+    def test_writer_rejects_unknown_engine(self, tmp_path):
+        path = tmp_path / "bogus.dwta"
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            ArchiveWriter.create(path, engine="bogus")
+        assert not path.exists()
+
+    def test_append_resolves_turbo_to_fast(self, tmp_path):
+        path = tmp_path / "turbo.dwta"
+        frames = [shepp_logan(32), random_image(32, seed=4)]
+        with ArchiveWriter.create(path, codec="coefficient", scales=2) as writer:
+            writer.add_frames(frames[:1])
+        with ArchiveWriter.append(path, engine="turbo") as writer:
+            assert writer.engine == "fast"
+            writer.add_frames(frames[1:])
+        with ArchiveReader(path) as reader:
+            for index, original in enumerate(frames):
+                assert np.array_equal(reader.decode(index), original)
+
     def test_verify_reports(self, mixed_archive):
         path, _ = mixed_archive
         with ArchiveReader(path) as reader:

@@ -388,3 +388,21 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "no frame named" in capsys.readouterr().err
     # Refuses to clobber without --overwrite.
     assert main(["pack", str(archive), "--synthetic", "1", "--size", "32"]) == 1
+
+
+def test_engine_flags_accept_both_tiers_byte_identically(tmp_path, capsys):
+    outputs = {}
+    for engine in ("fast", "scalar"):
+        archive = tmp_path / f"{engine}.dwta"
+        args = ["pack", str(archive), "--synthetic", "2", "--size", "32"]
+        assert main(args + ["--engine", engine]) == 0
+        outputs[engine] = archive.read_bytes()
+    assert outputs["fast"] == outputs["scalar"]
+
+
+@pytest.mark.parametrize("command", ["pack", "serve"])
+def test_engine_flags_reject_the_retired_turbo_tier(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, str(tmp_path / "x.dwta"), "--engine", "turbo"])
+    assert "invalid choice: 'turbo'" in capsys.readouterr().err
+    assert not (tmp_path / "x.dwta").exists()

@@ -88,7 +88,7 @@ def image():
     return shepp_logan(64)
 
 
-@pytest.mark.parametrize("engine", ["fast", "scalar", "turbo"])
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
 @pytest.mark.parametrize("layout", [LAYOUT_FRAME_MAJOR, LAYOUT_SUBBAND_MAJOR])
 @pytest.mark.parametrize("mint", ["interleaved", "mixed"])
 @pytest.mark.parametrize("codec_name", sorted(CODECS))

@@ -1,5 +1,8 @@
 """Sharded archive sets: manifest, routing, invariance, parallel packs."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,54 @@ class TestShardedWriter:
             assert len(reader) == 6
             assert {entry.codec for entry in reader} == {"coefficient"}
             assert {entry.scales for entry in reader} == {2}
+
+    def test_turbo_manifest_spec_opens_decodes_and_appends(self, tmp_path):
+        """A set whose manifest stores the retired ``turbo`` tier (as sets
+        written while it was a tier do) stays readable and appendable."""
+        frames = series(count=4)
+        path = make_set(tmp_path, 2, frames, spec=CodecSpec(codec="coefficient", scales=2))
+        manifest = unpack_manifest(path.read_bytes())
+        stored = json.loads(manifest.spec_json)
+        stored["engine"] = "turbo"
+        path.write_bytes(
+            pack_manifest(replace(manifest, spec_json=json.dumps(stored, sort_keys=True)))
+        )
+        with ShardedArchiveReader(path) as reader:
+            assert reader.spec == CodecSpec(codec="coefficient", scales=2, engine="fast")
+            for name, original in zip(names_for(4), frames):
+                assert np.array_equal(reader.decode(name), original)
+        extra = series(count=2, seed=9)
+        with ShardedArchiveWriter.append(path) as writer:
+            writer.append_batch(extra, names=["extra_0", "extra_1"])
+        with ShardedArchiveReader(path) as reader:
+            assert len(reader) == 6
+            for name, original in zip(["extra_0", "extra_1"], extra):
+                assert np.array_equal(reader.decode(name), original)
+
+    def test_reader_resolves_engine_when_opened(self, tmp_path):
+        path = make_set(tmp_path, 2, series(count=2))
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            ShardedArchiveReader(path, engine="bogus")
+        with ShardedArchiveReader(path, engine="turbo") as reader:
+            assert reader.engine == "fast"
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [(None, "fast"), ("fast", "fast"), ("scalar", "scalar"), ("turbo", "fast")],
+    )
+    def test_reader_stores_resolved_engine(self, tmp_path, monkeypatch, name, expected):
+        frames = series(count=2)
+        path = make_set(tmp_path, 2, frames)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with ShardedArchiveReader(path, engine=name) as reader:
+            assert reader.engine == expected
+            assert np.array_equal(reader.decode(names_for(2)[1]), frames[1])
+
+    @pytest.mark.parametrize("name", ["", "FAST", "huffman"])
+    def test_reader_rejects_unknown_engine_at_open(self, tmp_path, name):
+        path = make_set(tmp_path, 2, series(count=2))
+        with pytest.raises(ValueError, match="unknown engine"):
+            ShardedArchiveReader(path, engine=name)
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = make_set(tmp_path, 2, series(count=3))

@@ -23,7 +23,7 @@ from repro.archive.serialize import materialize_stream, serialize_stream
 from repro.archive.sharding import ShardedArchiveReader, ShardedArchiveWriter
 from repro.archive.writer import ArchiveWriter
 
-ENGINES = ("fast", "scalar", "turbo")
+ENGINES = ("fast", "scalar")
 
 
 @pytest.fixture

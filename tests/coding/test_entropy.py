@@ -1,15 +1,8 @@
-"""Tests for the entropy-coding primitives (mapper, RLE, Rice, Huffman)."""
+"""Tests for the entropy-coding primitives (mapper, RLE, Rice)."""
 
 import numpy as np
 import pytest
 
-from repro.coding.huffman import (
-    HuffmanCode,
-    build_code_lengths,
-    canonical_codes,
-    huffman_decode,
-    huffman_encode,
-)
 from repro.coding.mapper import flatten_pyramid, zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     optimal_rice_parameter,
@@ -101,52 +94,6 @@ class TestRice:
 
     def test_empty_block_round_trip(self):
         assert rice_decode(rice_encode([])) == []
-
-
-class TestHuffman:
-    def test_code_lengths_respect_frequencies(self):
-        lengths = build_code_lengths({0: 100, 1: 10, 2: 1})
-        assert lengths[0] <= lengths[1] <= lengths[2]
-
-    def test_kraft_equality_for_complete_code(self):
-        code = HuffmanCode.from_symbols([0, 0, 0, 1, 1, 2, 3, 3, 3, 3])
-        assert code.kraft_sum() == pytest.approx(1.0)
-
-    def test_single_symbol_alphabet(self):
-        code = HuffmanCode.from_symbols([7, 7, 7])
-        assert code.lengths == {7: 1}
-        assert huffman_decode(huffman_encode([7, 7, 7], code)) == [7, 7, 7]
-
-    def test_canonical_codes_are_prefix_free(self):
-        code = HuffmanCode.from_symbols([0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
-        codes = canonical_codes(code.lengths)
-        bit_strings = [format(value, f"0{length}b") for value, length in codes.values()]
-        for a in bit_strings:
-            for b in bit_strings:
-                if a != b:
-                    assert not b.startswith(a)
-
-    def test_round_trip(self, rng):
-        symbols = list(rng.integers(0, 20, size=500))
-        assert huffman_decode(huffman_encode(symbols)) == symbols
-
-    def test_expected_length_beats_fixed_width_for_skewed_source(self):
-        symbols = [0] * 900 + [1] * 50 + [2] * 30 + [3] * 20
-        code = HuffmanCode.from_symbols(symbols)
-        frequencies = {0: 900, 1: 50, 2: 30, 3: 20}
-        assert code.expected_length(frequencies) < 2.0  # fixed width would be 2 bits
-
-    def test_encoding_unknown_symbol_rejected(self):
-        code = HuffmanCode.from_symbols([0, 1])
-        with pytest.raises(ValueError):
-            huffman_encode([5], code)
-
-    def test_negative_symbols_rejected(self):
-        with pytest.raises(ValueError):
-            huffman_encode([-3])
-
-    def test_empty_stream_round_trip(self):
-        assert huffman_decode(huffman_encode([])) == []
 
 
 class TestFlattenPyramid:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.coding.bitstream import BitReader, BitWriter
 from repro.coding.fastbits import (
-    bit_windows64,
     orbit,
     pack_bits,
     pack_uint_fields,
@@ -103,29 +102,6 @@ class TestEdgeWidths:
         assert pack_uint_fields([], []).size == 0
         assert read_uints(unpack_bits(b""), 0, 0, 7).size == 0
         assert ragged_arange([0, 0, 0]).size == 0
-
-
-class TestBitWindows64:
-    def test_empty_stream(self):
-        assert bit_windows64(b"").size == 0
-
-    def test_single_byte_is_left_justified(self):
-        assert bit_windows64(b"\x80")[0] == np.uint64(1) << np.uint64(63)
-
-    def test_peek_matches_read_uint(self, rng):
-        data = rng.integers(0, 256, size=25, dtype=np.uint8).tobytes()
-        bits = unpack_bits(data)
-        windows = bit_windows64(data)
-        for position in range(0, 8 * len(data) - 13):
-            peek = int(
-                (windows[position >> 3] << np.uint64(position & 7))
-                >> np.uint64(64 - 13)
-            )
-            assert peek == read_uint(bits, position, 13)
-
-    def test_accepts_memoryview_without_copy(self):
-        data = bytes(range(16))
-        assert np.array_equal(bit_windows64(memoryview(data)), bit_windows64(data))
 
 
 class TestOrbit:

@@ -4,26 +4,18 @@ The property tests in ``test_wire_compat.py`` prove the engine tiers agree
 with *each other*; these vectors prove they agree with the **past**.  Each
 case hardcodes the exact bytes the encoder produced when the vector was
 minted, so any change to the stream layout — header fields, unary runs,
-canonical code assignment, zig-zag order — fails loudly here even if every
-engine drifts in unison.  Every tier (``fast``, ``scalar``, ``turbo``)
-must decode each golden stream to the same symbols.
+zig-zag order — fails loudly here even if every engine drifts in unison.
+Both tiers (``fast``, ``scalar``) must decode each golden stream to the
+same symbols.
 """
 
 import numpy as np
 import pytest
 
-from repro.coding.huffman import (
-    huffman_decode,
-    huffman_decode_scalar,
-    huffman_decode_turbo,
-    huffman_encode,
-    huffman_encode_scalar,
-)
 from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     rice_decode,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_encode,
     rice_encode_planar,
     rice_encode_planar_scalar,
@@ -34,12 +26,6 @@ from repro.coding.rle import rle_decode_arrays, rle_encode_arrays
 RICE_DECODERS = {
     "fast": rice_decode,
     "scalar": rice_decode_scalar,
-    "turbo": rice_decode_turbo,
-}
-HUFFMAN_DECODERS = {
-    "fast": huffman_decode,
-    "scalar": huffman_decode_scalar,
-    "turbo": huffman_decode_turbo,
 }
 
 # Each vector: (symbols, optional explicit k, golden stream hex).
@@ -71,16 +57,6 @@ PLANAR_RICE_VECTORS = {
         "000000000000a80800",
     ),
     "empty": ([], None, "8000000000"),
-}
-
-HUFFMAN_VECTORS = {
-    "pi-digits": (
-        [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6,
-         4, 3, 3, 8, 3, 2, 7, 9, 5],
-        "000a0106220c8418c00000080cdc75731cbf444de5da105f58",
-    ),
-    "single-symbol": ([2, 2, 2, 2, 2], "000300020000000a00"),
-    "empty": ([], "000000000000"),
 }
 
 # One RLE-coded band exactly as the lossless codec stores it: the run
@@ -125,21 +101,6 @@ class TestPlanarRiceGolden:
         symbols, k, golden = PLANAR_RICE_VECTORS[name]
         interleaved = rice_encode(np.asarray(symbols, dtype=np.int64), k=k)
         assert len(interleaved) <= len(bytes.fromhex(golden)) <= len(interleaved) + 1
-
-
-class TestHuffmanGolden:
-    @pytest.mark.parametrize("name", sorted(HUFFMAN_VECTORS))
-    def test_encoders_reproduce_golden_bytes(self, name):
-        symbols, golden = HUFFMAN_VECTORS[name]
-        array = np.asarray(symbols, dtype=np.int64)
-        assert huffman_encode(array).hex() == golden
-        assert huffman_encode_scalar(array).hex() == golden
-
-    @pytest.mark.parametrize("engine", sorted(HUFFMAN_DECODERS))
-    @pytest.mark.parametrize("name", sorted(HUFFMAN_VECTORS))
-    def test_every_tier_decodes_golden_bytes(self, name, engine):
-        symbols, golden = HUFFMAN_VECTORS[name]
-        assert HUFFMAN_DECODERS[engine](bytes.fromhex(golden)) == symbols
 
 
 class TestRleGolden:

@@ -2,7 +2,7 @@
 
 The contract under test mirrors ``test_executor.py`` over TCP: sharding a
 batch across socket workers changes *nothing* about the streams — both
-codecs, every entropy engine tier (fast/scalar/turbo), software and
+codecs, both entropy engine tiers (fast/scalar), software and
 accelerator transforms, at 1/2/4 workers — and the ``workers="host:port"``
 seam reaches the socket pool from every existing call site signature.
 """
@@ -73,20 +73,18 @@ def mixed_batch_32():
     return [makers[i % len(makers)](i) for i in range(32)]
 
 
-#: The acceptance matrix: both codecs x {fast, scalar, turbo} entropy tiers
+#: The acceptance matrix: both codecs x {fast, scalar} entropy tiers
 #: x software + accelerator transforms.
 CONFIGS = [
     CodecSpec(codec="s-transform", scales=3, engine="fast"),
     CodecSpec(codec="s-transform", scales=3, engine="scalar"),
-    CodecSpec(codec="s-transform", scales=3, engine="turbo"),
     CodecSpec(codec="coefficient", scales=3, engine="fast"),
     CodecSpec(codec="coefficient", scales=3, engine="scalar"),
-    CodecSpec(codec="coefficient", scales=3, engine="turbo"),
     CodecSpec(codec="coefficient", scales=3, engine="fast", transform="accelerator"),
     CodecSpec(
         codec="coefficient",
         scales=2,
-        engine="turbo",
+        engine="fast",
         transform="accelerator",
         transform_engine="scalar",
     ),

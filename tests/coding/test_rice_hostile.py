@@ -1,11 +1,14 @@
-"""Hostile planar Rice headers: typed errors, bounded time and memory.
+"""Hostile Rice headers: typed errors, bounded time and memory.
 
 A planar block's declared symbol count sizes both of its planes, so every
 decoder tier checks it against the bytes actually present before sizing
 anything from it: the remainder plane must fit, and the unary plane must
-hold at least one bit per symbol.  A lying header must fail fast with
-``EOFError`` (or ``ValueError`` for a parameter out of range), never by
-allocating what it declares.
+hold at least one bit per symbol.  A legacy interleaved block's count is
+checked against the code terminators (zeros) its bits hold.  A lying
+header must fail fast with ``EOFError`` (or ``ValueError`` for a parameter
+out of range), never by allocating what it declares.  Interleaved blocks
+stay readable for read-compat, so their hostile headers and truncations
+are checked here too, against the bit-by-bit reference.
 """
 
 import time
@@ -18,21 +21,20 @@ from repro.coding.rice import (
     PLANAR_FLAG,
     rice_decode,
     rice_decode_scalar,
-    rice_decode_turbo,
+    rice_encode,
     rice_encode_planar,
 )
 
 DECODERS = {
     "fast": rice_decode,
     "scalar": rice_decode_scalar,
-    "turbo": rice_decode_turbo,
 }
 MEMORY_CAP = 1 << 20
 TIME_CAP_S = 1.0
 
 
-def _header(k: int, count: int) -> bytes:
-    return bytes([PLANAR_FLAG | k]) + count.to_bytes(4, "big")
+def _header(k: int, count: int, flag: int = PLANAR_FLAG) -> bytes:
+    return bytes([flag | k]) + count.to_bytes(4, "big")
 
 
 @pytest.fixture(params=sorted(DECODERS))
@@ -41,8 +43,9 @@ def decode(request):
 
 
 @pytest.mark.parametrize("k", [0, 5, 30])
-def test_huge_declared_count_fails_in_bounded_memory(decode, k):
-    block = _header(k, 0xFFFFFFF0) + bytes(range(16))
+@pytest.mark.parametrize("flag", [PLANAR_FLAG, 0], ids=["planar", "interleaved"])
+def test_huge_declared_count_fails_in_bounded_memory(decode, flag, k):
+    block = _header(k, 0xFFFFFFF0, flag) + bytes(range(16))
     assert len(block) == 21
     tracemalloc.start()
     began = time.perf_counter()
@@ -102,3 +105,90 @@ def test_every_truncation_agrees_across_tiers():
             except (EOFError, ValueError) as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], cut
+
+
+# -- legacy interleaved blocks ----------------------------------------------------------
+
+INTERLEAVED_PARAMETERS = [0, 1, 3, 8, 16]
+
+
+def _interleaved_symbols(k: int, size: int, seed: int = 5) -> np.ndarray:
+    rng = np.random.default_rng(seed + k)
+    quotients = rng.geometric(0.3, size=size) - 1
+    return (quotients << k) | rng.integers(0, 1 << k, size=size)
+
+
+def _terminators_after_header(block: bytes) -> int:
+    bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8))
+    return int(np.count_nonzero(bits[40:] == 0))
+
+
+def _outcome(decoder, block):
+    try:
+        return decoder(block)
+    except (EOFError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("k", INTERLEAVED_PARAMETERS)
+def test_interleaved_count_one_past_the_terminators(decode, k):
+    """Every code ends in one zero: a count above the zeros present fails."""
+    block = rice_encode(_interleaved_symbols(k, 20), k=k)
+    count = _terminators_after_header(block) + 1
+    with pytest.raises(EOFError):
+        decode(_header(k, count, flag=0) + block[5:])
+
+
+@pytest.mark.parametrize("k", INTERLEAVED_PARAMETERS)
+def test_interleaved_smaller_count_decodes_a_prefix(decode, k):
+    symbols = _interleaved_symbols(k, 20)
+    block = rice_encode(symbols, k=k)
+    assert decode(_header(k, 7, flag=0) + block[5:]) == symbols[:7].tolist()
+
+
+def test_interleaved_block_without_terminators(decode):
+    with pytest.raises(EOFError):
+        decode(_header(3, 10, flag=0) + b"\xff" * 8)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 12])
+def test_interleaved_code_without_its_terminator(decode, k):
+    """Symbol 0 (a zero and k zero remainder bits), then a quotient whose
+    terminating zero was cut off.  The zeros of the first remainder must not
+    be taken for the missing terminator."""
+    bits = "0" * (k + 1)
+    bits += "1" * (-len(bits) % 8)
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") + b"\xff" * 3
+    with pytest.raises(EOFError):
+        decode(_header(k, 2, flag=0) + payload)
+
+
+@pytest.mark.parametrize("k", [31, 64, 127])
+def test_interleaved_parameter_out_of_range(decode, k):
+    with pytest.raises(ValueError, match="Rice parameter"):
+        decode(_header(k, 1, flag=0) + bytes(8))
+
+
+@pytest.mark.parametrize("length", [0, 1, 4])
+def test_interleaved_short_header(decode, length):
+    with pytest.raises(EOFError):
+        decode(_header(5, 3, flag=0)[:length])
+
+
+@pytest.mark.parametrize(
+    "k, size, step",
+    [(0, 40, 1), (1, 40, 1), (2, 40, 1), (3, 40, 1), (5, 40, 1), (11, 40, 1),
+     (3, 600, 7), (8, 600, 7)],
+)
+def test_every_interleaved_truncation_agrees_across_tiers(k, size, step):
+    """A cut interleaved block is rejected by both tiers or decoded alike —
+    the fast tier never walks past the last zero into garbage symbols.
+    600 symbols take the blocked (jump-table) walk of ``orbit``."""
+    symbols = _interleaved_symbols(k, size)
+    block = rice_encode(symbols, k=k)
+    assert rice_decode(block) == symbols.tolist()
+    for cut in range(0, len(block) + 1, step):
+        fast = _outcome(rice_decode, block[:cut])
+        assert fast == _outcome(rice_decode_scalar, block[:cut]), cut
+        if not isinstance(fast, type):
+            assert min(fast, default=0) >= 0, cut

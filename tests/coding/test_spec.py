@@ -1,5 +1,7 @@
 """Tests for the unified codec configuration (repro.coding.spec)."""
 
+import json
+
 import pytest
 
 from repro.coding import compress_frames
@@ -14,7 +16,9 @@ from repro.coding.spec import (
     codec_wire_ids,
     family_for_stream,
     get_family,
+    default_engine,
     register_codec,
+    resolve_engine,
 )
 from repro.filters.catalog import get_bank
 from repro.imaging.phantoms import shepp_logan
@@ -109,19 +113,30 @@ class TestValidation:
     def test_engine_default_resolves_through_environment(self, monkeypatch):
         from repro.coding.spec import default_engine
 
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        assert default_engine() == "turbo"
-        assert CodecSpec().engine == "turbo"
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        assert default_engine() == "scalar"
+        assert CodecSpec().engine == "scalar"
         # An explicit engine always beats the environment override.
-        assert CodecSpec(engine="scalar").engine == "scalar"
+        assert CodecSpec(engine="fast").engine == "fast"
+        # The retired turbo tier is read as fast.
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        assert default_engine() == "fast"
+        assert CodecSpec().engine == "fast"
         monkeypatch.setenv("REPRO_ENGINE", "simd")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             CodecSpec()
 
     def test_turbo_engine_accepted_entropy_only(self):
-        assert CodecSpec(engine="turbo").engine == "turbo"
-        # The accelerator model has no turbo tier: transform_engine keeps
-        # the narrower fast/scalar validation.
+        assert resolve_engine("turbo") == "fast"
+        assert CodecSpec(engine="turbo").engine == "fast"
+        # A spec stored while turbo was a tier loads as the fast spec.
+        stored = CodecSpec(codec="coefficient", scales=3).to_dict()
+        stored["engine"] = "turbo"
+        assert CodecSpec.from_json(json.dumps(stored)) == CodecSpec(
+            codec="coefficient", scales=3, engine="fast"
+        )
+        # The alias is for stored entropy tiers only: transform_engine
+        # never had a turbo tier and keeps rejecting it.
         with pytest.raises(ValueError, match="transform_engine"):
             CodecSpec(codec="coefficient", transform_engine="turbo")
 
@@ -240,6 +255,81 @@ class TestCompatShim:
         # And the archive is still appendable afterwards.
         with ArchiveWriter.append(path) as writer:
             assert writer.spec.scales == 2
+
+
+class TestResolveEngine:
+    """``resolve_engine`` is the one place an ``engine=`` name is checked."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [(None, "fast"), ("fast", "fast"), ("scalar", "scalar"), ("turbo", "fast")],
+    )
+    def test_names(self, monkeypatch, name, expected):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine(name) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["", "FAST", "Turbo", "huffman", "simd", " fast", "scalar ", "turbo2"]
+    )
+    def test_unknown_names_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(name)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("", "fast"), ("   ", "fast"), ("fast", "fast"), ("scalar", "scalar"),
+         ("turbo", "fast"), (" scalar\n", "scalar")],
+    )
+    def test_environment_default(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert default_engine() == expected
+        assert resolve_engine(None) == expected
+        assert CodecSpec().engine == expected
+
+    @pytest.mark.parametrize("value", ["bogus", "huffman", "FAST"])
+    def test_bad_environment_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        with pytest.raises(ValueError, match="REPRO_ENGINE"):
+            resolve_engine(None)
+
+    @pytest.mark.parametrize("value", ["fast", "scalar", "turbo", "bogus"])
+    def test_explicit_name_ignores_environment(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert resolve_engine("scalar") == "scalar"
+        assert resolve_engine("turbo") == "fast"
+        assert CodecSpec(engine="fast").engine == "fast"
+
+    @pytest.mark.parametrize("value", ["fast", "scalar"])
+    def test_transform_engine_accepts_both_tiers(self, value):
+        spec = CodecSpec(codec="coefficient", transform="accelerator", transform_engine=value)
+        assert spec.transform_engine == value
+
+    @pytest.mark.parametrize("value", ["turbo", "", "bogus"])
+    def test_transform_engine_has_no_alias(self, value):
+        with pytest.raises(ValueError, match="transform_engine"):
+            CodecSpec(codec="coefficient", transform_engine=value)
+
+    @pytest.mark.parametrize("factory", [STransformCodec, LosslessWaveletCodec])
+    @pytest.mark.parametrize(
+        "name, expected", [(None, "fast"), ("scalar", "scalar"), ("turbo", "fast")]
+    )
+    def test_codecs_resolve_their_engine(self, monkeypatch, factory, name, expected):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert factory(scales=2, engine=name).engine == expected
+
+    @pytest.mark.parametrize("factory", [STransformCodec, LosslessWaveletCodec])
+    def test_codecs_reject_unknown_engine(self, factory):
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            factory(scales=2, engine="bogus")
+
+    @pytest.mark.parametrize("codec", ["s-transform", "coefficient"])
+    def test_stored_turbo_spec_builds_the_fast_codec(self, codec):
+        stored = CodecSpec(codec=codec, scales=3).to_dict()
+        stored["engine"] = "turbo"
+        spec = CodecSpec.from_json(json.dumps(stored))
+        assert spec.engine == "fast"
+        assert spec.to_dict()["engine"] == "fast"
+        assert spec.build_codec().engine == "fast"
 
 
 class TestBuildAndReplace:

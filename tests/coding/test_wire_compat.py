@@ -1,9 +1,8 @@
 """Bitstream wire-compatibility: every engine tier against every other.
 
 Every block coder ships a vectorised (``fast``) and a bit-by-bit
-(``scalar``) implementation, plus a table-driven ``turbo`` decode tier;
-these tests pin the contract that they are drop-in interchangeable at the
-byte level — identical encoded streams, and each decoder accepts each
+(``scalar``) implementation; these tests pin the contract that they are
+drop-in interchangeable at the byte level — identical encoded streams, and each decoder accepts each
 encoder's output — on random inputs and on phantom-image workloads.
 """
 
@@ -11,19 +10,11 @@ import numpy as np
 import pytest
 
 from repro.coding.codec import LosslessWaveletCodec
-from repro.coding.huffman import (
-    huffman_decode,
-    huffman_decode_scalar,
-    huffman_decode_turbo,
-    huffman_encode,
-    huffman_encode_scalar,
-)
 from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import (
     is_planar_block,
     rice_decode,
     rice_decode_scalar,
-    rice_decode_turbo,
     rice_encode,
     rice_encode_planar,
     rice_encode_planar_scalar,
@@ -66,18 +57,11 @@ class TestRiceWireCompat:
     def test_scalar_encode_fast_decode(self, symbols):
         assert rice_decode(rice_encode_scalar(symbols)) == symbols.tolist()
 
-    def test_turbo_decode_matches_both_encoders(self, symbols):
-        assert rice_decode_turbo(rice_encode(symbols)) == symbols.tolist()
-        assert rice_decode_turbo(rice_encode_scalar(symbols)) == symbols.tolist()
-
     @pytest.mark.parametrize("k", [0, 1, 5, 11, 18, 26])
     def test_explicit_parameter(self, rng, k):
         symbols = rng.integers(0, 2000, size=400)
         assert rice_encode(symbols, k=k) == rice_encode_scalar(symbols, k=k)
         assert rice_decode(rice_encode_scalar(symbols, k=k)) == symbols.tolist()
-        # Turbo's adaptive run-scan/remainder strategies switch on k; every
-        # branch must land on the same symbols.
-        assert rice_decode_turbo(rice_encode(symbols, k=k)) == symbols.tolist()
 
 
 class TestPlanarRiceWireCompat:
@@ -100,7 +84,7 @@ class TestPlanarRiceWireCompat:
         expected = symbols.tolist()
         for encode in (rice_encode_planar, rice_encode_planar_scalar):
             encoded = encode(symbols)
-            for decode in (rice_decode, rice_decode_scalar, rice_decode_turbo):
+            for decode in (rice_decode, rice_decode_scalar):
                 assert decode(encoded) == expected
 
     def test_at_most_one_byte_longer_than_interleaved(self, symbols):
@@ -115,44 +99,8 @@ class TestPlanarRiceWireCompat:
         symbols = rng.integers(0, 1 << (k + 3), size=size)
         encoded = rice_encode_planar(symbols, k=k)
         assert encoded == rice_encode_planar_scalar(symbols, k=k)
-        for decode in (rice_decode, rice_decode_scalar, rice_decode_turbo):
+        for decode in (rice_decode, rice_decode_scalar):
             assert decode(encoded) == symbols.tolist()
-
-
-class TestHuffmanWireCompat:
-    @pytest.fixture(params=["random", "skewed", "phantom", "single", "empty"])
-    def symbols(self, request, rng):
-        return {
-            "random": rng.integers(0, 40, size=600),
-            "skewed": np.minimum(rng.geometric(0.3, size=800) - 1, 30),
-            "phantom": np.minimum(_phantom_symbols(), 63),
-            "single": np.full(40, 7, dtype=np.int64),
-            "empty": np.zeros(0, dtype=np.int64),
-        }[request.param]
-
-    def test_streams_byte_identical(self, symbols):
-        assert huffman_encode(symbols) == huffman_encode_scalar(symbols)
-
-    def test_fast_encode_scalar_decode(self, symbols):
-        assert huffman_decode_scalar(huffman_encode(symbols)) == symbols.tolist()
-
-    def test_scalar_encode_fast_decode(self, symbols):
-        assert huffman_decode(huffman_encode_scalar(symbols)) == symbols.tolist()
-
-    def test_turbo_decode_matches_both_encoders(self, symbols):
-        assert huffman_decode_turbo(huffman_encode(symbols)) == symbols.tolist()
-        assert huffman_decode_turbo(huffman_encode_scalar(symbols)) == symbols.tolist()
-
-    def test_turbo_long_code_fallback(self):
-        # Fibonacci frequencies build a maximally skewed tree whose longest
-        # code exceeds the turbo LUT cap; the decoder must fall back to the
-        # fast path and still agree byte for byte.
-        counts = [1, 1]
-        while len(counts) < 22:
-            counts.append(counts[-1] + counts[-2])
-        symbols = np.repeat(np.arange(len(counts)), counts)
-        encoded = huffman_encode(symbols)
-        assert huffman_decode_turbo(encoded) == huffman_decode(encoded)
 
 
 class TestRleWireCompat:
@@ -198,7 +146,7 @@ class TestRleWireCompat:
         assert literals.tolist() == literals_ref.tolist()
 
 
-ENGINES = ("fast", "scalar", "turbo")
+ENGINES = ("fast", "scalar")
 
 
 class TestSTransformCodecWireCompat:
@@ -213,7 +161,7 @@ class TestSTransformCodecWireCompat:
         streams = {name: codec.encode(image) for name, codec in codecs.items()}
         for name in ENGINES[1:]:
             assert streams[name].chunks == streams["fast"].chunks
-        # Full cross matrix: every tier decodes every tier's stream.
+        # Full cross matrix: each tier decodes each tier's stream.
         for codec in codecs.values():
             for stream in streams.values():
                 assert np.array_equal(codec.decode(stream), image)

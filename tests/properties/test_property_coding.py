@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.coding.bitstream import BitReader, BitWriter
-from repro.coding.huffman import HuffmanCode, huffman_decode, huffman_encode
 from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import rice_decode, rice_encode
 from repro.coding.rle import rle_decode, rle_encode
@@ -66,19 +65,6 @@ class TestRiceProperties:
     @settings(max_examples=50, deadline=None)
     def test_rice_round_trip_any_parameter(self, symbols, k):
         assert rice_decode(rice_encode(symbols, k=k)) == symbols
-
-
-class TestHuffmanProperties:
-    @given(symbols=st.lists(st.integers(0, 40), max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_huffman_round_trip(self, symbols):
-        assert huffman_decode(huffman_encode(symbols)) == symbols
-
-    @given(symbols=st.lists(st.integers(0, 40), min_size=1, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_kraft_inequality(self, symbols):
-        code = HuffmanCode.from_symbols(symbols)
-        assert code.kraft_sum() <= 1.0 + 1e-12
 
 
 class TestSTransformProperties:
