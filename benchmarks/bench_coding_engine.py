@@ -4,23 +4,29 @@ Not a paper table: this tracks the throughput of the coding primitives
 (bit packing, Rice, RLE) in Msymbols/s so that the perf trajectory of the
 codec hot path is visible from PR to PR.  Each test times the fast path with
 pytest-benchmark and writes a JSON record (including the measured speedup
-over the ``*_scalar`` reference implementation and the planar Rice block's
-decode speedup over the legacy interleaved block) to ``benchmarks/reports/``.
+over the ``*_scalar`` reference implementation, the planar Rice block's
+decode speedup over the legacy interleaved block, and the frame-batched
+pyramid encode against a per-block loop) to ``benchmarks/reports/``.
 """
 
 import time
 
 import numpy as np
 
+from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.fastbits import pack_bits, pack_uint_fields, unpack_bits
+from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import (
     rice_decode_array,
     rice_decode_scalar,
     rice_encode,
     rice_encode_planar,
+    rice_encode_planar_blocks,
     rice_encode_planar_scalar,
 )
 from repro.coding.rle import rle_decode, rle_decode_arrays, rle_encode, rle_encode_arrays
+from repro.coding.s_transform import STransformCodec
+from repro.imaging.phantoms import ct_slice_series
 
 N_SYMBOLS = 1 << 18
 
@@ -35,8 +41,8 @@ def _time_once(fn, *args):
     return result, time.perf_counter() - began
 
 
-def _compare_decoders(fn_a, fn_b, blob, repeats=7):
-    """Interleaved best-of-N timing of two decoders on one stream.
+def _compare_timings(fn_a, fn_b, blob, repeats=7):
+    """Interleaved best-of-N timing of two functions on one input.
 
     Alternating the samples (after one untimed warm-up each) means a
     machine-wide slowdown mid-measurement degrades both sides instead of
@@ -111,7 +117,7 @@ def test_rice_throughput(benchmark, save_json_record):
     # block the codecs write.
     interleaved = rice_encode(symbols)
     interleaved_out, interleaved_decode_s, planar_out, planar_decode_s = (
-        _compare_decoders(
+        _compare_timings(
             lambda _: rice_decode_array(interleaved),
             lambda _: rice_decode_array(planar),
             None,
@@ -152,3 +158,49 @@ def test_rle_throughput(benchmark, save_json_record):
     _, fast_s = _time_once(roundtrip)
     _, scalar_s = _time_once(lambda: rle_decode(rle_encode(values)))
     _record(save_json_record, "coding_engine_rle", N_SYMBOLS, fast_s, scalar_s)
+
+
+def _pyramid_blocks():
+    """The Rice blocks of a 256x256 s-transform pyramid and of a 128x128
+    coefficient-codec pyramid (zig-zagged bands, RLE literals and runs)."""
+    s_image = ct_slice_series(count=1, size=256, seed=1)[0]
+    s_pyramid = STransformCodec(scales=4).forward_transform(s_image)
+    s_bands = [s_pyramid.approximation] + [
+        band for details in s_pyramid.details for band in details.values()
+    ]
+    c_image = ct_slice_series(count=1, size=128, seed=1)[0]
+    codec = LosslessWaveletCodec("F2", scales=4, engine="fast")
+    c_pyramid = codec.forward_transform(c_image)
+    c_blocks = [zigzag_encode(c_pyramid.approximation.ravel())]
+    for entry in c_pyramid.details:
+        for band in entry.as_dict().values():
+            runs, literals = rle_encode_arrays(band)
+            c_blocks += [zigzag_encode(literals), runs]
+    return {
+        "s_transform_256": [zigzag_encode(band.ravel()) for band in s_bands],
+        "coefficient_128": c_blocks,
+    }
+
+
+def test_pyramid_encode_throughput(save_json_record):
+    """One batched planar Rice call per pyramid against a per-block loop.
+
+    A record only, with no timing gate: the ratio swings with host load.
+    """
+    record = {}
+    for name, blocks in _pyramid_blocks().items():
+        loop_out, loop_s, batched_out, batched_s = _compare_timings(
+            lambda blocks: [rice_encode_planar(block) for block in blocks],
+            rice_encode_planar_blocks,
+            blocks,
+            repeats=15,
+        )
+        assert batched_out == loop_out
+        record[name] = {
+            "blocks": len(blocks),
+            "symbols": sum(block.size for block in blocks),
+            "loop_seconds": loop_s,
+            "batched_seconds": batched_s,
+            "speedup": loop_s / batched_s,
+        }
+    save_json_record("coding_engine_rice_pyramid", record)

@@ -42,13 +42,14 @@ from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
     rice_decode_scalar,
-    rice_encode_planar,
+    rice_encode_planar_blocks,
     rice_encode_planar_scalar,
 )
 from .rle import (
     LITERAL,
     ZERO_RUN,
     RleEvent,
+    check_rle_size,
     events_to_arrays,
     rle_decode,
     rle_decode_arrays,
@@ -204,14 +205,29 @@ class LosslessWaveletCodec:
             image_shape=(int(image_shape[0]), int(image_shape[1])),
             bit_depth=self.bit_depth,
         )
-        compressed.chunks.append(
-            self._encode_band("HH", self.scales, pyramid.approximation, allow_rle=False)
-        )
+        bands = [("HH", self.scales, pyramid.approximation, False)]
         for entry in reversed(pyramid.details):
-            for kind, band in entry.as_dict().items():
-                compressed.chunks.append(
-                    self._encode_band(kind, entry.scale, band, allow_rle=self.use_rle)
+            bands.extend(
+                (kind, entry.scale, band, self.use_rle)
+                for kind, band in entry.as_dict().items()
+            )
+        # Every band's Rice blocks are coded in one batch: the (zig-zagged)
+        # literals of each band, then its run stream if it is RLE coded.
+        blocks: List[np.ndarray] = []
+        for _, _, band, use_rle in bands:
+            blocks.extend(self._band_blocks(band, use_rle))
+        payloads = iter(self._rice_encode_blocks(blocks))
+        for kind, scale, band, use_rle in bands:
+            compressed.chunks.append(
+                SubbandChunk(
+                    kind=kind,
+                    scale=scale,
+                    shape=(int(band.shape[0]), int(band.shape[1])),
+                    use_rle=use_rle,
+                    payload=next(payloads),
+                    run_payload=next(payloads) if use_rle else b"",
                 )
+            )
         return compressed
 
     def decode_pyramid(self, compressed: CompressedImage) -> FixedPointPyramid:
@@ -248,48 +264,30 @@ class LosslessWaveletCodec:
         pyramid = self.forward_transform(image)
         return self.encode_pyramid(pyramid, image.shape)
 
-    def _rice_encode(self, symbols: np.ndarray) -> bytes:
+    def _rice_encode_blocks(self, blocks: List[np.ndarray]) -> List[bytes]:
         if self.engine == "scalar":
-            return rice_encode_planar_scalar(symbols)
-        return rice_encode_planar(symbols)
+            return [rice_encode_planar_scalar(block) for block in blocks]
+        return rice_encode_planar_blocks(blocks)
 
     def _rice_decode(self, payload: bytes) -> np.ndarray:
         if self.engine == "scalar":
             return np.asarray(rice_decode_scalar(payload), dtype=np.int64)
         return rice_decode_array(payload)
 
-    def _encode_band(
-        self, kind: str, scale: int, band: np.ndarray, allow_rle: bool
-    ) -> SubbandChunk:
+    def _band_blocks(self, band: np.ndarray, use_rle: bool) -> List[np.ndarray]:
+        """The Rice blocks of one band: its symbols, or literals then runs."""
         flat = np.asarray(band, dtype=np.int64).ravel()
-        if allow_rle:
-            # Run lengths and literal values go into two Rice blocks; the
-            # event kinds need no extra bitmap because a literal of value 0
-            # never occurs (zeros always join runs), so a 0 in the run stream
-            # unambiguously marks the next literal.
-            if self.engine == "scalar":
-                run_symbols, literals = events_to_arrays(rle_encode(flat))
-            else:
-                run_symbols, literals = rle_encode_arrays(flat)
-            payload = self._rice_encode(zigzag_encode(literals))
-            run_payload = self._rice_encode(run_symbols)
-            return SubbandChunk(
-                kind=kind,
-                scale=scale,
-                shape=(int(band.shape[0]), int(band.shape[1])),
-                use_rle=True,
-                payload=payload,
-                run_payload=run_payload,
-            )
-        symbols = zigzag_encode(flat)
-        payload = self._rice_encode(symbols)
-        return SubbandChunk(
-            kind=kind,
-            scale=scale,
-            shape=(int(band.shape[0]), int(band.shape[1])),
-            use_rle=False,
-            payload=payload,
-        )
+        if not use_rle:
+            return [zigzag_encode(flat)]
+        # Run lengths and literal values go into two Rice blocks; the event
+        # kinds need no extra bitmap because a literal of value 0 never
+        # occurs (zeros always join runs), so a 0 in the run stream
+        # unambiguously marks the next literal.
+        if self.engine == "scalar":
+            run_symbols, literals = events_to_arrays(rle_encode(flat))
+        else:
+            run_symbols, literals = rle_encode_arrays(flat)
+        return [zigzag_encode(literals), run_symbols]
 
     # -- decoding -----------------------------------------------------------------------
     def decode(self, compressed: CompressedImage) -> np.ndarray:
@@ -346,6 +344,7 @@ class LosslessWaveletCodec:
         if chunk.use_rle:
             run_symbols = self._rice_decode(chunk.run_payload)
             literals = zigzag_decode(self._rice_decode(chunk.payload))
+            check_rle_size(run_symbols, literals.size, chunk.shape[0] * chunk.shape[1])
             if self.engine != "scalar":
                 flat = rle_decode_arrays(run_symbols, literals)
             else:

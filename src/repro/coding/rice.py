@@ -4,9 +4,10 @@ Rice codes are the standard low-complexity entropy coder for wavelet and
 predictive residuals (they are what lossless JPEG-LS and CCSDS use).  A
 symbol ``s`` is coded with parameter ``k`` as the unary quotient
 ``s >> k`` followed by the ``k`` low-order bits.  The optimal ``k`` tracks
-the mean of the symbols; :func:`optimal_rice_parameter` picks it per block
-from a single ``(symbols x k)`` cost matrix (exact — Rice code lengths are
-``(s >> k) + 1 + k``, no re-encoding needed).
+the mean of the symbols; :func:`optimal_rice_parameter` picks it exactly
+(ties to the smallest ``k``) from three segmented sums, because the block's
+coded size is convex in ``k``.  :func:`rice_cost_matrix`, the coded size for
+every ``k`` at once, is the oracle it is tested against.
 
 A block is stored in one of two self-describing layouts, told apart by
 bit 7 of the first byte:
@@ -19,8 +20,11 @@ bit 7 of the first byte:
   in separate lanes, so the zeros of the unary plane alone mark symbol
   boundaries and decoding needs no sequential walk: ``flatnonzero`` +
   ``diff`` give the quotients and one fixed-width unpack the remainders.
-  Written by :func:`rice_encode_planar` (vectorised) and
-  :func:`rice_encode_planar_scalar` (bit-by-bit reference).
+  Written by :func:`rice_encode_planar_blocks` (vectorised, every block of
+  a frame in one batch: one parameter search, one remainder pass per
+  distinct ``k``, one unary pass), its one-block form
+  :func:`rice_encode_planar`, and :func:`rice_encode_planar_scalar`
+  (bit-by-bit reference, one block at a time).
 * **interleaved** (read-only legacy) —
   ``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``,
   each code's unary quotient directly followed by its remainder.
@@ -38,7 +42,8 @@ encoders of each layout produce **byte-identical** streams.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +62,7 @@ __all__ = [
     "rice_decode_value",
     "rice_encode",
     "rice_encode_planar",
+    "rice_encode_planar_blocks",
     "rice_encode_planar_scalar",
     "rice_decode",
     "rice_decode_array",
@@ -146,17 +152,85 @@ def rice_cost_matrix(symbols, max_k: int = MAX_RICE_PARAMETER) -> np.ndarray:
     return costs
 
 
+def _block_bounds(counts: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of every block in the concatenation of ``counts``."""
+    return [(stop - n, stop) for stop, n in zip(accumulate(counts), counts)]
+
+
+def _shifted_blocks(
+    flat: np.ndarray, bounds: Sequence[Tuple[int, int]], shifts: Sequence[int]
+) -> np.ndarray:
+    """``flat >> shifts[b]`` block by block, with scalar shifts.
+
+    The result is in the narrowest type that also holds each value plus
+    one (checked against the largest symbol), so the passes that follow
+    move less memory.
+    """
+    top = int(flat.max())
+    word = np.uint16 if top < 0xFFFF else np.uint32 if top < 0xFFFFFFFF else np.int64
+    out = np.empty(flat.size, dtype=word)
+    for (start, stop), shift in zip(bounds, shifts):
+        np.right_shift(flat[start:stop], shift, out=out[start:stop], casting="unsafe")
+    return out
+
+
+def _optimal_parameters(
+    flat: np.ndarray,
+    bounds: Sequence[Tuple[int, int]],
+    max_k: int = MAX_RICE_PARAMETER,
+) -> List[int]:
+    """Exact cost-minimising ``k`` of every block ``flat[start:stop]``.
+
+    The cost ``C(k) = n(1 + k) + sum(s >> k)`` is convex in ``k``:
+    ``C(k + 1) - C(k) = n - sum(((s >> k) + 1) >> 1)`` never decreases as
+    ``k`` grows.  So the argmin (ties to the smallest ``k``) is the smallest
+    ``k`` with ``T(k) = sum(((s >> k) + 1) >> 1) <= n``, clamped at
+    ``max_k``.  With ``kh`` the smallest ``k`` where ``sum(s) <= n * 2**k``,
+    ``T(kh) <= n`` and ``T(kh - 3) > n``, so that ``k`` is one of
+    ``kh - 2``, ``kh - 1`` and ``kh``: one segmented sum of the symbols and
+    two of ``T`` decide every block at once, where
+    :func:`rice_cost_matrix` makes one pass per candidate.  Empty blocks
+    get 0.
+    """
+    ks = [0] * len(bounds)
+    nonempty = [b for b, (start, stop) in enumerate(bounds) if stop > start]
+    if not nonempty:
+        return ks
+    bounds = [bounds[b] for b in nonempty]
+    starts = [start for start, _ in bounds]
+    tops = []
+    for total, (start, stop) in zip(np.add.reduceat(flat, starts).tolist(), bounds):
+        n = stop - start
+        kh = 0 if total <= n else (-(-total // n) - 1).bit_length()
+        tops.append(min(kh, max_k))
+    bases = [max(top - 2, 0) for top in tops]
+    shifted = _shifted_blocks(flat, bounds, bases)
+    half = shifted + 1
+    half >>= 1
+    at_base = np.add.reduceat(half, starts, dtype=np.int64).tolist()
+    shifted >>= 1
+    np.add(shifted, 1, out=half)
+    half >>= 1
+    at_next = np.add.reduceat(half, starts, dtype=np.int64).tolist()
+    for b, top, base, t0, t1, (start, stop) in zip(
+        nonempty, tops, bases, at_base, at_next, bounds
+    ):
+        n = stop - start
+        k = base if t0 <= n else base + 1 if t1 <= n else top
+        ks[b] = min(k, top)
+    return ks
+
+
 def optimal_rice_parameter(symbols, max_k: int = MAX_RICE_PARAMETER) -> int:
     """Parameter ``k`` minimising the total code length of ``symbols``.
 
-    Exact (cost matrix over all candidate parameters); ties resolve to the
-    smallest ``k``.  An empty block returns 0.
+    Exact (equal to ``argmin(rice_cost_matrix(symbols, max_k))``, see
+    :func:`_optimal_parameters`); ties resolve to the smallest ``k``.  An
+    empty block returns 0.
     """
     arr = _as_symbol_array(symbols)
-    if arr.size == 0:
-        return 0
     _check_non_negative(arr)
-    return int(np.argmin(rice_cost_matrix(arr, max_k)))
+    return _optimal_parameters(arr, [(0, arr.size)], max_k)[0]
 
 
 def _prepare_block(symbols, k: Optional[int]) -> Tuple[np.ndarray, int]:
@@ -188,22 +262,22 @@ def _remainder_columns(k: int) -> List[Tuple[int, int, int]]:
     ]
 
 
-def _pack_remainders(remainders: np.ndarray, k: int) -> bytes:
-    """The remainder plane: ``k``-bit fields MSB-first, zero-padded to a byte."""
-    count = remainders.size
-    groups = -(-count // 8)
-    fields = np.zeros(8 * groups, dtype=np.uint64)
-    fields[:count] = remainders
-    fields = fields.reshape(groups, 8)
-    plane = np.zeros(groups * k, dtype=np.uint8)
+def _pack_remainder_groups(fields: np.ndarray, k: int) -> np.ndarray:
+    """The remainder plane of a ``(groups x 8)`` matrix of ``k``-bit fields.
+
+    Fields are written MSB-first, ``k`` bytes per group of eight.  A field
+    and its bit offset span at most ``k + 7`` bits, so ``fields`` may be of
+    any unsigned type at least that wide.
+    """
+    plane = np.zeros(fields.shape[0] * k, dtype=np.uint8)
     for column, (first, bit, width) in enumerate(_remainder_columns(k)):
-        window = fields[:, column] << np.uint64(8 * width - k - bit)
+        window = fields[:, column] << (8 * width - k - bit)
         for i in range(width):
             # The uint8 cast keeps the low byte of the shifted window.
-            plane[first + i :: k] |= (
-                window >> np.uint64(8 * (width - 1 - i))
-            ).astype(np.uint8)
-    return plane[: -(-count * k // 8)].tobytes()
+            plane[first + i :: k] |= (window >> (8 * (width - 1 - i))).astype(
+                np.uint8
+            )
+    return plane
 
 
 def _unpack_remainders(plane: np.ndarray, count: int, k: int) -> np.ndarray:
@@ -221,28 +295,116 @@ def _unpack_remainders(plane: np.ndarray, count: int, k: int) -> np.ndarray:
     return fields.reshape(-1)[:count]
 
 
+def _remainder_planes(
+    flat: np.ndarray, bounds: List[Tuple[int, int]], ks: List[int]
+) -> List[bytes]:
+    """Every block's remainder plane, packed in one column pass per ``k``.
+
+    The blocks sharing a ``k`` are laid end to end, each zero-padded to a
+    whole group of eight fields, so each block's plane is the prefix of its
+    own ``count * k / 8`` bytes of the shared plane.
+    """
+    planes = [b""] * len(bounds)
+    for k in sorted(set(ks) - {0}):
+        members = [b for b, kb in enumerate(ks) if kb == k]
+        groups = [-(-(bounds[b][1] - bounds[b][0]) // 8) for b in members]
+        # The narrowest word that holds a field at any bit offset.
+        word = np.uint16 if k <= 9 else np.uint32 if k <= 25 else np.uint64
+        fields = np.zeros(8 * sum(groups), dtype=word)
+        offset = 0
+        for b, group in zip(members, groups):
+            start, stop = bounds[b]
+            fields[offset : offset + stop - start] = flat[start:stop]
+            offset += 8 * group
+        fields &= (1 << k) - 1
+        plane = _pack_remainder_groups(fields.reshape(-1, 8), k)
+        offset = 0
+        for b, group in zip(members, groups):
+            start, stop = bounds[b]
+            planes[b] = plane[offset : offset + -(-(stop - start) * k // 8)].tobytes()
+            offset += group * k
+    return planes
+
+
+def _unary_planes(
+    flat: np.ndarray, bounds: List[Tuple[int, int]], ks: List[int]
+) -> Tuple[np.ndarray, List[int]]:
+    """All unary planes, byte-aligned end to end, and their byte offsets.
+
+    One ``cumsum`` of ``q + 1`` gives every quotient's end; shifting each
+    block by its own byte-aligned start places the terminating zeros of the
+    whole set in one scatter, and one ``packbits`` flushes it.  Plane ``b``
+    is ``packed[offsets[b]:offsets[b + 1]]``.
+    """
+    ends = _shifted_blocks(flat, bounds, ks).astype(np.int64)
+    ends += 1
+    np.cumsum(ends, out=ends)
+    offsets = [0]
+    plane_ends = []
+    bits_before = 0
+    for start, stop in bounds:
+        bits_after = int(ends[stop - 1]) if stop > start else bits_before
+        # Terminator positions of this block, moved to its byte-aligned start.
+        ends[start:stop] += 8 * offsets[-1] - bits_before - 1
+        plane_ends.append(8 * offsets[-1] + bits_after - bits_before)
+        offsets.append(offsets[-1] + (bits_after - bits_before + 7) // 8)
+        bits_before = bits_after
+    bits = np.ones(8 * offsets[-1], dtype=np.uint8)
+    bits[ends] = 0
+    # Zero each plane's padding after its last terminator.
+    for plane_end, stop in zip(plane_ends, offsets[1:]):
+        bits[plane_end : 8 * stop] = 0
+    return np.packbits(bits), offsets
+
+
+def rice_encode_planar_blocks(blocks, k: Optional[int] = None) -> List[bytes]:
+    """Encode every block of a frame in the planar layout, in one pass.
+
+    Byte-identical to encoding each block on its own: each block gets its
+    own cost-minimising parameter (or ``k`` for all of them) and its own
+    ``0x80 | k`` / count header, remainder plane and unary plane.  The
+    work is batched across blocks: one exact parameter search
+    (:func:`_optimal_parameters`), one remainder column pass per distinct
+    ``k`` (:func:`_remainder_planes`) and one unary pass for the whole set
+    (:func:`_unary_planes`).
+    """
+    arrays = [_as_symbol_array(block) for block in blocks]
+    counts = [arr.size for arr in arrays]
+    if len(arrays) == 1:
+        flat = arrays[0]
+    else:
+        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+    _check_non_negative(flat)
+    bounds = _block_bounds(counts)
+    if k is None:
+        ks = _optimal_parameters(flat, bounds)
+    else:
+        _check_parameter(k)
+        ks = [k] * len(arrays)
+    headers = [
+        bytes((PLANAR_FLAG | kb,)) + n.to_bytes(4, "big") for kb, n in zip(ks, counts)
+    ]
+    if flat.size == 0:
+        return headers
+    remainders = _remainder_planes(flat, bounds, ks)
+    unary, offsets = _unary_planes(flat, bounds, ks)
+    return [
+        header + remainder + unary[offsets[b] : offsets[b + 1]].tobytes()
+        for b, (header, remainder) in enumerate(zip(headers, remainders))
+    ]
+
+
 def rice_encode_planar(symbols, k: Optional[int] = None) -> bytes:
-    """Encode a block of non-negative symbols in the planar layout.
+    """Encode one block of non-negative symbols in the planar layout.
 
     ``0x80 | k`` (one byte) and the symbol count (four bytes) head the
     block, followed by the remainder plane and the unary plane, each
     zero-padded to a byte.  The remainder plane's size follows from the
     header, so no length field is stored, and the block is at most one
     byte longer than the interleaved :func:`rice_encode` of the same
-    symbols.  Vectorised: remainders are packed column-wise (see
-    :func:`_pack_remainders`), the unary plane is all ones with a zero
-    scattered at every quotient's end, and each plane is flushed with one
-    ``np.packbits``.
+    symbols.  A one-block call of :func:`rice_encode_planar_blocks`.
     """
-    arr, k = _prepare_block(symbols, k)
-    header = pack_bits(pack_uint_fields([PLANAR_FLAG | k, arr.size], [8, 32]))
-    if arr.size == 0:
-        return header
-    remainders = _pack_remainders(arr & ((1 << k) - 1), k) if k else b""
-    terminators = np.cumsum((arr >> k) + 1) - 1
-    unary = np.ones(int(terminators[-1]) + 1, dtype=np.uint8)
-    unary[terminators] = 0
-    return header + remainders + pack_bits(unary)
+    return rice_encode_planar_blocks([symbols], k)[0]
 
 
 def _planar_header(raw: np.ndarray) -> Tuple[int, int, int]:

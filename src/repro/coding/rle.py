@@ -36,6 +36,7 @@ __all__ = [
     "rle_decode",
     "rle_encode_arrays",
     "rle_decode_arrays",
+    "check_rle_size",
 ]
 
 #: Event kinds.
@@ -159,6 +160,27 @@ def rle_decode_arrays(run_symbols: np.ndarray, literal_values: np.ndarray) -> np
         )
     out[literal_positions] = literals
     return out
+
+
+def check_rle_size(run_symbols: np.ndarray, literal_count: int, size: int) -> None:
+    """Raise ``ValueError`` unless the streams decode to exactly ``size`` values.
+
+    A decoder calls this before it sizes anything from the run lengths:
+    the runs plus one slot per literal marker must fill ``size`` values,
+    and the markers must match the literals.  A hostile run stream (one
+    run of ``2**27`` zeros in a ten-byte block, say) then fails in time and
+    memory bounded by the stream itself.
+    """
+    runs = np.asarray(run_symbols, dtype=np.int64).ravel()
+    if runs.size and (int(runs.min()) < 0 or int(runs.max()) > size):
+        raise ValueError(f"RLE run stream holds a run outside [0, {size}]")
+    markers = runs.size - int(np.count_nonzero(runs))
+    total = int(runs.sum()) + markers
+    if total != size or markers != literal_count:
+        raise ValueError(
+            f"RLE streams decode to {total} values with {markers} literal "
+            f"slots ({literal_count} literals), expected {size} values"
+        )
 
 
 def events_to_arrays(events: Iterable[RleEvent]) -> Tuple[np.ndarray, np.ndarray]:

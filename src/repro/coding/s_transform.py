@@ -34,7 +34,7 @@ from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
     rice_decode_scalar,
-    rice_encode_planar,
+    rice_encode_planar_blocks,
     rice_encode_planar_scalar,
 )
 
@@ -275,10 +275,15 @@ class STransformCodec:
             image_shape=(int(image_shape[0]), int(image_shape[1])),
             bit_depth=self.bit_depth,
         )
-        self._add_band(compressed, "HH", self.scales, pyramid.approximation)
-        for scale_index, bands in enumerate(pyramid.details, start=1):
-            for kind, band in bands.items():
-                self._add_band(compressed, kind, scale_index, band)
+        bands = [("HH", self.scales, pyramid.approximation)]
+        for scale_index, details in enumerate(pyramid.details, start=1):
+            bands.extend((kind, scale_index, band) for kind, band in details.items())
+        payloads = self._rice_encode_blocks(
+            [zigzag_encode(np.asarray(band, dtype=np.int64).ravel()) for *_, band in bands]
+        )
+        for (kind, scale, band), payload in zip(bands, payloads):
+            compressed.chunks[(kind, scale)] = payload
+            compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))
         return compressed
 
     def decode_pyramid(self, compressed: CompressedSImage) -> STransformPyramid:
@@ -349,16 +354,10 @@ class STransformCodec:
         return self.decode(compressed), compressed
 
     # -- helpers ------------------------------------------------------------------------
-    def _add_band(
-        self, compressed: CompressedSImage, kind: str, scale: int, band: np.ndarray
-    ) -> None:
-        flat = np.asarray(band, dtype=np.int64).ravel()
-        symbols = zigzag_encode(flat)
-        encode = (
-            rice_encode_planar_scalar if self.engine == "scalar" else rice_encode_planar
-        )
-        compressed.chunks[(kind, scale)] = encode(symbols)
-        compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))
+    def _rice_encode_blocks(self, blocks: List[np.ndarray]) -> List[bytes]:
+        if self.engine == "scalar":
+            return [rice_encode_planar_scalar(block) for block in blocks]
+        return rice_encode_planar_blocks(blocks)
 
     def _get_band(
         self, compressed: CompressedSImage, kind: str, scale: int

@@ -8,15 +8,19 @@ checked against the code terminators (zeros) its bits hold.  A lying
 header must fail fast with ``EOFError`` (or ``ValueError`` for a parameter
 out of range), never by allocating what it declares.  Interleaved blocks
 stay readable for read-compat, so their hostile headers and truncations
-are checked here too, against the bit-by-bit reference.
+are checked here too, against the bit-by-bit reference.  An RLE run
+stream's lengths are checked against its band's shape before any band is
+sized from them.
 """
 
+import dataclasses
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.rice import (
     PLANAR_FLAG,
     rice_decode,
@@ -24,6 +28,8 @@ from repro.coding.rice import (
     rice_encode,
     rice_encode_planar,
 )
+
+from repro.imaging.phantoms import shepp_logan
 
 DECODERS = {
     "fast": rice_decode,
@@ -42,22 +48,27 @@ def decode(request):
     return DECODERS[request.param]
 
 
-@pytest.mark.parametrize("k", [0, 5, 30])
-@pytest.mark.parametrize("flag", [PLANAR_FLAG, 0], ids=["planar", "interleaved"])
-def test_huge_declared_count_fails_in_bounded_memory(decode, flag, k):
-    block = _header(k, 0xFFFFFFF0, flag) + bytes(range(16))
-    assert len(block) == 21
+def _assert_bounded_failure(error, call, *args):
+    """``call(*args)`` raises ``error`` within the memory and time caps."""
     tracemalloc.start()
     began = time.perf_counter()
     try:
-        with pytest.raises(EOFError):
-            decode(block)
+        with pytest.raises(error):
+            call(*args)
         elapsed = time.perf_counter() - began
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < MEMORY_CAP
     assert elapsed < TIME_CAP_S
+
+
+@pytest.mark.parametrize("k", [0, 5, 30])
+@pytest.mark.parametrize("flag", [PLANAR_FLAG, 0], ids=["planar", "interleaved"])
+def test_huge_declared_count_fails_in_bounded_memory(decode, flag, k):
+    block = _header(k, 0xFFFFFFF0, flag) + bytes(range(16))
+    assert len(block) == 21
+    _assert_bounded_failure(EOFError, decode, block)
 
 
 def test_truncated_remainder_plane(decode):
@@ -192,3 +203,44 @@ def test_every_interleaved_truncation_agrees_across_tiers(k, size, step):
         assert fast == _outcome(rice_decode_scalar, block[:cut]), cut
         if not isinstance(fast, type):
             assert min(fast, default=0) >= 0, cut
+
+
+# -- RLE run streams --------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def coefficient_stream():
+    return LosslessWaveletCodec("F2", scales=4, engine="fast").encode(shepp_logan(128))
+
+
+def _with_run_payload(stream, kind, scale, run_payload):
+    chunks = [
+        dataclasses.replace(chunk, run_payload=run_payload)
+        if (chunk.kind, chunk.scale) == (kind, scale)
+        else chunk
+        for chunk in stream.chunks
+    ]
+    return dataclasses.replace(stream, chunks=chunks)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+def test_huge_rle_run_fails_in_bounded_memory(coefficient_stream, engine):
+    """One ten-byte run stream declaring 2**27 zeros in a 64x64 band."""
+    run_payload = rice_encode_planar([2**27])
+    assert len(run_payload) == 10
+    stream = _with_run_payload(coefficient_stream, "GG", 1, run_payload)
+    codec = LosslessWaveletCodec("F2", scales=4, engine=engine)
+    _assert_bounded_failure(ValueError, codec.decode, stream)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+@pytest.mark.parametrize(
+    "runs",
+    [[4095], [4097], [4095, 0, 0], [0] * 4096, []],
+    ids=["one-short", "one-over", "extra-literal-slot", "literal-slots-only", "empty"],
+)
+def test_rle_streams_must_fill_the_band(coefficient_stream, engine, runs):
+    """Runs plus literal slots must fill the band, one slot per literal."""
+    stream = _with_run_payload(coefficient_stream, "GG", 1, rice_encode_planar(runs))
+    codec = LosslessWaveletCodec("F2", scales=4, engine=engine)
+    with pytest.raises(ValueError, match="RLE"):
+        codec.decode(stream)

@@ -28,7 +28,12 @@ from repro.coding.rle import (
     rle_encode_arrays,
 )
 from repro.coding.s_transform import STransformCodec
-from repro.imaging.phantoms import gradient_image, random_image, shepp_logan
+from repro.imaging.phantoms import (
+    ct_slice_series,
+    gradient_image,
+    random_image,
+    shepp_logan,
+)
 
 
 def _phantom_symbols():
@@ -210,3 +215,36 @@ class TestCodecsWritePlanarRice:
             if chunk.use_rle:
                 payloads.append(chunk.run_payload)
         assert payloads and all(is_planar_block(payload) for payload in payloads)
+
+
+class TestBatchedPyramidEncode:
+    """The fast engine codes a whole pyramid in one batched Rice call; the
+    scalar engine codes it block by block, bit by bit.  Same bytes."""
+
+    FRAMES = {
+        "ct": lambda size: ct_slice_series(count=1, size=size, seed=size)[0],
+        "random": lambda size: random_image(size, seed=size + 1),
+    }
+
+    @pytest.mark.parametrize("size", [64, 128, 256])
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_s_transform_pyramid(self, frame, size):
+        image = self.FRAMES[frame](size)
+        codecs = [STransformCodec(scales=4, engine=name) for name in ENGINES]
+        pyramid = codecs[0].forward_transform(image)
+        fast, scalar = (codec.encode_pyramid(pyramid, image.shape) for codec in codecs)
+        assert list(fast.chunks.items()) == list(scalar.chunks.items())
+        assert fast.shapes == scalar.shapes
+
+    @pytest.mark.parametrize("use_rle", [True, False], ids=["rle", "no-rle"])
+    @pytest.mark.parametrize("size", [64, 128, 256])
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_coefficient_pyramid(self, frame, size, use_rle):
+        image = self.FRAMES[frame](size)
+        codecs = [
+            LosslessWaveletCodec("F2", scales=4, use_rle=use_rle, engine=name)
+            for name in ENGINES
+        ]
+        pyramid = codecs[0].forward_transform(image)
+        fast, scalar = (codec.encode_pyramid(pyramid, image.shape) for codec in codecs)
+        assert fast.chunks == scalar.chunks

@@ -7,7 +7,15 @@ from hypothesis.extra import numpy as hnp
 
 from repro.coding.bitstream import BitReader, BitWriter
 from repro.coding.mapper import zigzag_decode, zigzag_encode
-from repro.coding.rice import rice_decode, rice_encode
+from repro.coding.rice import (
+    PLANAR_FLAG,
+    optimal_rice_parameter,
+    rice_cost_matrix,
+    rice_decode,
+    rice_encode,
+    rice_encode_planar_blocks,
+    rice_encode_planar_scalar,
+)
 from repro.coding.rle import rle_decode, rle_encode
 from repro.coding.s_transform import (
     s_transform_forward_1d,
@@ -65,6 +73,55 @@ class TestRiceProperties:
     @settings(max_examples=50, deadline=None)
     def test_rice_round_trip_any_parameter(self, symbols, k):
         assert rice_decode(rice_encode(symbols, k=k)) == symbols
+
+
+#: One Rice block: empty, all zero, single symbols, any count (mostly not a
+#: multiple of 8), geometric-like small values, values shifted high, and
+#: values up to 2**32 - 1, where the clamp of ``k`` at 30 binds.
+RICE_BLOCKS = st.one_of(
+    st.lists(st.integers(0, 2**32 - 1), max_size=40),
+    st.lists(st.integers(2**31, 2**32 - 1), min_size=1, max_size=20),
+    st.lists(st.just(0), max_size=40),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=1),
+    st.lists(st.integers(0, 15), max_size=70),
+    st.builds(
+        lambda shift, values: [value << shift for value in values],
+        st.integers(0, 28),
+        st.lists(st.integers(0, 7), max_size=40),
+    ),
+)
+
+
+class TestPlanarBatchProperties:
+    @given(blocks=st.lists(RICE_BLOCKS, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_per_block_scalar(self, blocks):
+        batch = rice_encode_planar_blocks(blocks)
+        assert batch == [rice_encode_planar_scalar(block) for block in blocks]
+        for block, payload in zip(blocks, batch):
+            assert payload[0] == PLANAR_FLAG | int(np.argmin(rice_cost_matrix(block)))
+
+    @given(
+        blocks=st.lists(st.lists(st.integers(0, 255), max_size=30), max_size=6),
+        k=st.integers(0, 12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batch_with_forced_parameter(self, blocks, k):
+        assert rice_encode_planar_blocks(blocks, k) == [
+            rice_encode_planar_scalar(block, k) for block in blocks
+        ]
+
+    @given(
+        symbols=st.one_of(
+            hnp.arrays(np.int64, st.integers(0, 500), elements=st.integers(0, 2**32 - 1)),
+            hnp.arrays(np.int64, st.integers(0, 500), elements=st.integers(0, 300)),
+        ),
+        max_k=st.integers(0, 30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_parameter_is_the_cost_matrix_argmin(self, symbols, max_k):
+        expected = int(np.argmin(rice_cost_matrix(symbols, max_k)))
+        assert optimal_rice_parameter(symbols, max_k) == expected
 
 
 class TestSTransformProperties:
