@@ -61,7 +61,7 @@ import numpy as np
 from ..coding.spec import ENGINE_NAMES, codec_names
 from ..imaging.dataset import archive_dataset
 from ..imaging.io_pgm import read_pgm, write_pgm
-from .format import LAYOUT_FRAME_MAJOR, LAYOUTS, ArchiveError
+from .format import LAYOUT_SUBBAND_MAJOR, ArchiveError
 from .ingest import ingest_frames
 from .serialize import frame_spec
 from .sharding import ShardedArchiveReader, ShardedArchiveWriter, is_sharded, open_archive
@@ -143,12 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pack.add_argument(
         "--layout",
-        choices=LAYOUTS,
-        default=None,
-        help="payload layout (default frame-major; subband-major orders "
-        "sections coarsest-first so 'extract --scale k' and the server's "
-        "preview endpoint decode from a strict payload prefix; with "
-        "--append, inherited from the archive's last frame)",
+        choices=(LAYOUT_SUBBAND_MAJOR,),
+        default=LAYOUT_SUBBAND_MAJOR,
+        help="payload layout: subband-major, the only one written (sections "
+        "coarsest-first, so 'extract --scale k' and the server's preview "
+        "endpoint decode from a strict payload prefix); frame-major is "
+        "read-only, and appends to a frame-major archive add subband-major "
+        "frames",
     )
     pack.add_argument(
         "--workers",
@@ -415,7 +416,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 ("--bit-depth", args.bit_depth is not None),
                 ("--bank", args.bank is not None),
                 ("--no-rle", args.no_rle),
-                ("--layout", args.layout is not None),
             )
             if given
         ]
@@ -438,7 +438,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             scales=args.scales,
             engine=args.engine,
             workers=args.workers,
-            layout=args.layout,
             **options,
         )
     elif args.shards:
@@ -454,7 +453,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 overwrite=args.overwrite,
                 workers=args.workers,
-                layout=args.layout or LAYOUT_FRAME_MAJOR,
                 placement=placement,
                 **options,
             )
@@ -467,7 +465,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 overwrite=args.overwrite,
                 workers=args.workers,
-                layout=args.layout or LAYOUT_FRAME_MAJOR,
                 placement=placement,
                 **options,
             )
@@ -479,7 +476,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             engine=args.engine,
             overwrite=args.overwrite,
             workers=args.workers,
-            layout=args.layout or LAYOUT_FRAME_MAJOR,
             **options,
         )
     with writer:

@@ -84,6 +84,7 @@ __all__ = [
     "LAYOUTS",
     "LAYOUT_FRAME_MAJOR",
     "LAYOUT_SUBBAND_MAJOR",
+    "require_write_layout",
     "ArchiveError",
     "ArchiveFormatError",
     "TruncatedArchiveError",
@@ -117,8 +118,9 @@ MAGIC = b"RPRDWTA\x00"
 #: payload layout (per-subband entropy-coded sections behind a section
 #: table, coarsest first, so a k-scale preview decodes from a strict
 #: prefix of the payload bytes) — a new wire feature a version-1 reader
-#: cannot parse, hence the bump.  Archives holding only frame-major
-#: payloads are still written as version 1, byte-identical to before.
+#: cannot parse, hence the bump.  Frame-major payloads are read-only now;
+#: a container stays version 1 until its first subband-major frame lands,
+#: so appending to a version-1 archive turns it into version 2.
 VERSION = 2
 
 #: Fixed header size in bytes (the header is always at offset 0).
@@ -189,11 +191,25 @@ FLAG_USE_RLE = 0x01
 #: version-1 monolithic frame-major layout.
 FLAG_SUBBAND_MAJOR = 0x02
 
-#: Payload layout names as stored in :attr:`FrameInfo.layout` and accepted
-#: by the writers' ``layout=`` keyword.
+#: Payload layout names as stored in :attr:`FrameInfo.layout` and in the
+#: shard-set manifest.  Both are read; only subband-major is written.
 LAYOUT_FRAME_MAJOR = "frame-major"
 LAYOUT_SUBBAND_MAJOR = "subband-major"
 LAYOUTS = (LAYOUT_FRAME_MAJOR, LAYOUT_SUBBAND_MAJOR)
+
+
+def require_write_layout(layout: str) -> None:
+    """Reject a ``layout=`` a writer cannot produce.
+
+    The writers' ``create`` entry points keep the keyword for call
+    compatibility only: new frames are always subband-major, and the
+    version-1 frame-major layout is read-only.
+    """
+    if layout != LAYOUT_SUBBAND_MAJOR:
+        raise ValueError(
+            f"cannot write payload layout {layout!r}: new frames are "
+            f"{LAYOUT_SUBBAND_MAJOR!r}, and {LAYOUT_FRAME_MAJOR!r} is read-only"
+        )
 
 
 class ArchiveError(Exception):

@@ -35,25 +35,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..coding.spec import CodecSpec, reject_spec_overrides
+from ..coding.spec import CodecSpec
 from .backend import StorageBackend
-from .format import (
-    LAYOUT_FRAME_MAJOR,
-    LAYOUTS,
-    MANIFEST_VERSION,
-    ArchiveIntegrityError,
-    FrameInfo,
-    ShardManifest,
-)
-from .placement import normalize_placement
+from .format import LAYOUT_SUBBAND_MAJOR, ArchiveIntegrityError, FrameInfo
 from .reader import VerifyReport
 from .serialize import CompressedStream
-from .sharding import (
-    PathLike,
-    ShardedArchiveReader,
-    ShardedArchiveWriter,
-    shard_file_names,
-)
+from .sharding import PathLike, ShardedArchiveReader, ShardedArchiveWriter
 from .writer import ArchiveWriter
 
 __all__ = [
@@ -90,15 +77,8 @@ class _FanOutWriter:
     bytes, so they stay byte-identical.
     """
 
-    def __init__(
-        self,
-        paths: Sequence[Path],
-        spec: CodecSpec,
-        layout: str = LAYOUT_FRAME_MAJOR,
-    ) -> None:
-        self.writers = [
-            ArchiveWriter.append(path, spec=spec, layout=layout) for path in paths
-        ]
+    def __init__(self, paths: Sequence[Path], spec: CodecSpec) -> None:
+        self.writers = [ArchiveWriter.append(path, spec=spec) for path in paths]
 
     def add_stream(self, stream: CompressedStream, name: str) -> FrameInfo:
         entry: Optional[FrameInfo] = None
@@ -147,7 +127,7 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         codec: Optional[str] = None,
         scales: Optional[int] = None,
         engine: Optional[str] = None,
-        layout: str = LAYOUT_FRAME_MAJOR,
+        layout: str = LAYOUT_SUBBAND_MAJOR,
         placement=None,
         **codec_options,
     ) -> "ReplicatedShardSet":
@@ -156,35 +136,11 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         v3 when ``placement`` maps shards to preferred worker nodes)."""
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
-        path = Path(path)
-        if path.exists() and not overwrite:
-            raise FileExistsError(
-                f"shard-set manifest {path} already exists (pass overwrite=True)"
-            )
-        shard_names = tuple(shard_file_names(path, shards))
-        node_ids = normalize_placement(placement, shard_names)
-        manifest = ShardManifest(
-            version=MANIFEST_VERSION if node_ids else 2,
-            router=router,
-            shard_names=shard_names,
-            spec_json=spec.to_json(),
-            boundaries=tuple(boundaries),
+        return cls._create_set(
+            path, shards, router, boundaries, spec, overwrite, workers,
+            codec, scales, engine, layout, placement, codec_options,
             replica_names=shard_replica_names(path, shards, replicas),
-            layout=layout,
-            node_ids=node_ids,
         )
-        return cls._init_set(path, manifest, spec, overwrite, workers)
 
     # -- fan-out plumbing ---------------------------------------------------------------
     @property
@@ -203,9 +159,7 @@ class ReplicatedShardSet(ShardedArchiveWriter):
         """Every append (``add_stream``, ``append_batch`` on any executor)
         goes through a fan-out writer, so every copy receives it."""
         if shard not in self._writers:
-            self._writers[shard] = _FanOutWriter(
-                self._copy_paths(shard), self.spec, layout=self.manifest.layout
-            )
+            self._writers[shard] = _FanOutWriter(self._copy_paths(shard), self.spec)
         return self._writers[shard]
 
 

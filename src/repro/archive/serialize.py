@@ -2,7 +2,8 @@
 
 A frame payload is the self-describing byte form of one compressed stream
 (:class:`~repro.coding.codec.CompressedImage` or
-:class:`~repro.coding.s_transform.CompressedSImage`)::
+:class:`~repro.coding.s_transform.CompressedSImage`).  Container version 1
+stored it **frame-major**, a layout that is now read-only::
 
     +------------------+
     | meta_len  (u32)  |  little-endian, like every container structure
@@ -24,7 +25,8 @@ reconstructed spec, and :func:`frame_spec` rebuilds the spec from an index
 entry alone, without reading the payload.
 
 Since container version 2 a payload may instead use the **subband-major**
-layout, built for progressive retrieval::
+layout, built for progressive retrieval — the only layout
+:func:`serialize_stream` writes::
 
     +----------------------------+
     | sentinel 0xFFFFFFFF (u32)  |  impossible as a v1 meta_len
@@ -81,7 +83,6 @@ from .format import (
     KINDS_BY_ID,
     LAYOUT_FRAME_MAJOR,
     LAYOUT_SUBBAND_MAJOR,
-    LAYOUTS,
     ArchiveFormatError,
     ArchiveIntegrityError,
     FrameInfo,
@@ -296,7 +297,17 @@ def _normalized_sections(stream: CompressedStream):
     return sorted(rows, key=lambda row: (-row[1], KIND_IDS[row[0]]))
 
 
-def _serialize_subband_major(stream: CompressedStream, spec: CodecSpec) -> bytes:
+def serialize_stream(stream: CompressedStream) -> bytes:
+    """Serialise a compressed stream into one subband-major frame payload.
+
+    The header fields are written from the stream's :class:`CodecSpec`
+    (codec wire id, depth, geometry, bit depth, bank), so the payload
+    carries the spec and :func:`deserialize_stream_with_spec` recovers it.
+    Sections are stored coarsest-first behind a CRC'd section table, so
+    every preview decodes from a strict prefix.  This is the only layout
+    the writers produce; version-1 frame-major payloads are read-only.
+    """
+    spec = spec_for_stream(stream)
     family = spec.family
     writer = BitWriter()
     writer.write_uint(family.wire_id, 8)
@@ -334,66 +345,6 @@ def _serialize_subband_major(stream: CompressedStream, spec: CodecSpec) -> bytes
     meta = writer.getvalue()
     head = _PAYLOAD_HEAD_STRUCT.pack(PAYLOAD_SENTINEL, PAYLOAD_VERSION, len(meta))
     return b"".join([head, meta, struct.pack("<I", crc32(meta)), *section_bytes])
-
-
-def serialize_stream(
-    stream: CompressedStream, layout: str = LAYOUT_FRAME_MAJOR
-) -> bytes:
-    """Serialise a compressed stream into one archive frame payload.
-
-    The header fields are written from the stream's :class:`CodecSpec`
-    (codec wire id, depth, geometry, bit depth, bank), so the payload
-    carries the spec and :func:`deserialize_stream_with_spec` recovers it.
-    ``layout`` selects the wire form: the version-1 ``"frame-major"``
-    monolith (the default, byte-identical to what every earlier writer
-    produced) or the version-2 ``"subband-major"`` sectioned layout that
-    supports strict-prefix preview decode.
-    """
-    spec = spec_for_stream(stream)
-    if layout not in LAYOUTS:
-        raise ValueError(
-            f"unknown payload layout {layout!r} (expected one of {LAYOUTS})"
-        )
-    if layout == LAYOUT_SUBBAND_MAJOR:
-        return _serialize_subband_major(stream, spec)
-    family = spec.family
-    writer = BitWriter()
-    writer.write_uint(family.wire_id, 8)
-    writer.write_uint(spec.scales, 8)
-    writer.write_uint(stream.image_shape[0], 32)
-    writer.write_uint(stream.image_shape[1], 32)
-    writer.write_uint(spec.bit_depth, 8)
-    chunk_bytes: List[bytes] = []
-    if family.uses_bank:
-        _write_ascii(writer, spec.bank_name)
-        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
-        writer.write_uint(plan.data_formats[1].word_length, 8)
-        writer.write_uint(plan.accumulator_bits, 8)
-        for bits in plan.integer_bits():
-            writer.write_uint(bits, 8)
-        writer.write_uint(len(stream.chunks), 16)
-        for chunk in stream.chunks:
-            writer.write_uint(KIND_IDS[chunk.kind], 8)
-            writer.write_uint(chunk.scale, 8)
-            writer.write_uint(chunk.shape[0], 32)
-            writer.write_uint(chunk.shape[1], 32)
-            writer.write_uint(1 if chunk.use_rle else 0, 8)
-            writer.write_uint(len(chunk.payload), 32)
-            writer.write_uint(len(chunk.run_payload), 32)
-            chunk_bytes.append(chunk.payload)
-            chunk_bytes.append(chunk.run_payload)
-    else:
-        writer.write_uint(len(stream.chunks), 16)
-        for (kind, scale), payload in stream.chunks.items():
-            shape = stream.shapes[(kind, scale)]
-            writer.write_uint(KIND_IDS[kind], 8)
-            writer.write_uint(scale, 8)
-            writer.write_uint(shape[0], 32)
-            writer.write_uint(shape[1], 32)
-            writer.write_uint(len(payload), 32)
-            chunk_bytes.append(payload)
-    meta = writer.getvalue()
-    return b"".join([struct.pack("<I", len(meta)), meta, *chunk_bytes])
 
 
 def _check_plan(reader: BitReader, bank_name: str, scales: int) -> None:
@@ -673,6 +624,57 @@ def deserialize_stream_with_spec(payload: Payload) -> Tuple[CompressedStream, Co
         stream = sections_to_stream(table, payload[table.body_offset :])
         return stream, table.spec()
     return _deserialize_frame_major(payload)
+
+
+def _serialize_frame_major(stream: CompressedStream) -> bytes:
+    """The version-1 monolithic payload that :func:`_deserialize_frame_major`
+    parses: ``meta_len``, the meta block, then every chunk's bytes in the
+    stream's own chunk order.
+
+    No production code calls this — frame-major is read-only.  It mints
+    read-compat fixtures (real version-1 payloads and archives) for the
+    tests and benchmarks, as :func:`~repro.coding.rice.rice_encode` does for
+    the legacy interleaved Rice blocks.
+    """
+    spec = spec_for_stream(stream)
+    family = spec.family
+    writer = BitWriter()
+    writer.write_uint(family.wire_id, 8)
+    writer.write_uint(spec.scales, 8)
+    writer.write_uint(stream.image_shape[0], 32)
+    writer.write_uint(stream.image_shape[1], 32)
+    writer.write_uint(spec.bit_depth, 8)
+    chunk_bytes: List[bytes] = []
+    if family.uses_bank:
+        _write_ascii(writer, spec.bank_name)
+        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
+        writer.write_uint(plan.data_formats[1].word_length, 8)
+        writer.write_uint(plan.accumulator_bits, 8)
+        for bits in plan.integer_bits():
+            writer.write_uint(bits, 8)
+        writer.write_uint(len(stream.chunks), 16)
+        for chunk in stream.chunks:
+            writer.write_uint(KIND_IDS[chunk.kind], 8)
+            writer.write_uint(chunk.scale, 8)
+            writer.write_uint(chunk.shape[0], 32)
+            writer.write_uint(chunk.shape[1], 32)
+            writer.write_uint(1 if chunk.use_rle else 0, 8)
+            writer.write_uint(len(chunk.payload), 32)
+            writer.write_uint(len(chunk.run_payload), 32)
+            chunk_bytes.append(chunk.payload)
+            chunk_bytes.append(chunk.run_payload)
+    else:
+        writer.write_uint(len(stream.chunks), 16)
+        for (kind, scale), payload in stream.chunks.items():
+            shape = stream.shapes[(kind, scale)]
+            writer.write_uint(KIND_IDS[kind], 8)
+            writer.write_uint(scale, 8)
+            writer.write_uint(shape[0], 32)
+            writer.write_uint(shape[1], 32)
+            writer.write_uint(len(payload), 32)
+            chunk_bytes.append(payload)
+    meta = writer.getvalue()
+    return b"".join([struct.pack("<I", len(meta)), meta, *chunk_bytes])
 
 
 def _deserialize_frame_major(payload: Payload) -> Tuple[CompressedStream, CodecSpec]:

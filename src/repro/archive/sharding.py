@@ -57,11 +57,10 @@ from ..coding.pipeline import (
     PipelineStats,
     decompress_frames,
 )
-from ..coding.spec import CodecSpec, reject_spec_overrides, resolve_engine
+from ..coding.spec import CodecSpec, resolve_engine, resolve_spec
 from .backend import RetryPolicy, StorageBackend
 from .format import (
-    LAYOUT_FRAME_MAJOR,
-    LAYOUTS,
+    LAYOUT_SUBBAND_MAJOR,
     MANIFEST_MAGIC,
     MANIFEST_VERSION,
     ArchiveError,
@@ -71,6 +70,7 @@ from .format import (
     ShardManifest,
     TruncatedArchiveError,
     pack_manifest,
+    require_write_layout,
     unpack_manifest,
 )
 from .placement import PlacementLike, count_placement, normalize_placement
@@ -338,7 +338,7 @@ class ShardedArchiveWriter:
         codec: Optional[str] = None,
         scales: Optional[int] = None,
         engine: Optional[str] = None,
-        layout: str = LAYOUT_FRAME_MAJOR,
+        layout: str = LAYOUT_SUBBAND_MAJOR,
         placement: PlacementLike = None,
         **codec_options,
     ) -> "ShardedArchiveWriter":
@@ -347,25 +347,43 @@ class ShardedArchiveWriter:
         ``path`` is the manifest file (conventionally ``*.dwts``); shard
         containers are created next to it.  Configuration defaults match
         :meth:`ArchiveWriter.create`; ``spec`` and the legacy keywords are
-        mutually exclusive, as everywhere else.  ``layout`` (stored in the
-        manifest) sets the payload layout of every shard — pass
-        ``"subband-major"`` for progressive prefix-decodable payloads.
-        ``placement`` (shard file name → preferred worker node id, or a
-        node-id sequence in shard order) stores the distributed routing
-        map; a placed manifest is stamped version 3, an unplaced one keeps
-        its version-2 bytes (see :mod:`repro.archive.placement`).
+        mutually exclusive, as everywhere else.  ``layout`` is kept for
+        call compatibility and accepts only ``"subband-major"``, the
+        layout every shard writes.  ``placement`` (shard file name →
+        preferred worker node id, or a node-id sequence in shard order)
+        stores the distributed routing map; a placed manifest is stamped
+        version 3, an unplaced one keeps its version-2 bytes (see
+        :mod:`repro.archive.placement`).
         """
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
+        return cls._create_set(
+            path, shards, router, boundaries, spec, overwrite, workers,
+            codec, scales, engine, layout, placement, codec_options,
+        )
+
+    @classmethod
+    def _create_set(
+        cls,
+        path: PathLike,
+        shards: int,
+        router: str,
+        boundaries: Sequence[str],
+        spec: Optional[CodecSpec],
+        overwrite: bool,
+        workers: int,
+        codec: Optional[str],
+        scales: Optional[int],
+        engine: Optional[str],
+        layout: str,
+        placement: PlacementLike,
+        codec_options: Dict,
+        replica_names: Tuple[Tuple[str, ...], ...] = (),
+    ) -> "ShardedArchiveWriter":
+        """The one set constructor behind every ``create``: resolve the
+        spec, build the manifest, then materialise every container
+        (primaries and ``replica_names`` copies) and write the manifest
+        crash-safely."""
+        require_write_layout(layout)
+        spec = resolve_spec(spec, codec, scales, engine, **codec_options)
         path = Path(path)
         if path.exists() and not overwrite:
             raise FileExistsError(
@@ -379,33 +397,18 @@ class ShardedArchiveWriter:
             shard_names=shard_names,
             spec_json=spec.to_json(),
             boundaries=tuple(boundaries),
+            replica_names=replica_names,
             layout=layout,
             node_ids=node_ids,
         )
-        return cls._init_set(path, manifest, spec, overwrite, workers)
-
-    @classmethod
-    def _init_set(
-        cls,
-        path: Path,
-        manifest: ShardManifest,
-        spec: CodecSpec,
-        overwrite: bool,
-        workers: int,
-    ) -> "ShardedArchiveWriter":
-        """Materialise a new set: every container (primaries and replicas)
-        plus the crash-safely written manifest."""
         router_for_manifest(manifest)  # validate router/boundaries up front
         # Every container is born a valid (empty, finalised) archive, so the
         # set is complete and readable from the instant the manifest lands.
-        replica_map = manifest.replica_names or ((),) * len(manifest.shard_names)
-        for shard, name in enumerate(manifest.shard_names):
+        replica_map = replica_names or ((),) * len(shard_names)
+        for shard, name in enumerate(shard_names):
             for copy in (name, *replica_map[shard]):
                 ArchiveWriter.create(
-                    path.parent / copy,
-                    spec=spec,
-                    overwrite=overwrite,
-                    layout=manifest.layout,
+                    path.parent / copy, spec=spec, overwrite=overwrite
                 ).close()
         write_manifest(path, manifest)
         return cls(path, manifest, spec, names=set(), total=0, workers=workers)
@@ -415,7 +418,9 @@ class ShardedArchiveWriter:
         cls, path: PathLike, workers: int = 1, engine: Optional[str] = None
     ) -> "ShardedArchiveWriter":
         """Open an existing set to add frames; configuration comes from the
-        manifest, so appends always match how the set was created.
+        manifest, so appends always match how the set was created.  New
+        frames are subband-major even in a set whose manifest says
+        frame-major; the manifest bytes stay as they are.
         ``engine`` may override the entropy-coding engine — an execution
         choice, not a format one (streams are byte-identical either way).
 
@@ -455,7 +460,7 @@ class ShardedArchiveWriter:
     def _writer(self, shard: int) -> ArchiveWriter:
         if shard not in self._writers:
             self._writers[shard] = ArchiveWriter.append(
-                self.shard_paths[shard], spec=self.spec, layout=self.manifest.layout
+                self.shard_paths[shard], spec=self.spec
             )
         return self._writers[shard]
 

@@ -25,6 +25,12 @@ of bytes per frame per append.  The codec configuration of an appending
 writer defaults to that of the last stored frame so a series keeps
 compressing the way it started.
 
+Every frame this writer adds is stored in the subband-major payload layout
+(:func:`~repro.archive.serialize.serialize_stream`); the version-1
+frame-major layout is read-only.  The header says version 1 until the
+container holds a subband-major frame, so appending to a version-1 archive
+turns it into version 2 while its old frames stay readable as they are.
+
 The writer's configuration is one :class:`~repro.coding.spec.CodecSpec`
 (``writer.spec``); the legacy ``codec=``/``scales=``/``engine=`` keywords
 still work and are folded into a spec by the compatibility shim.
@@ -46,13 +52,11 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..coding.pipeline import CompressedBatch, PipelineStats, compress_frames
-from ..coding.spec import CodecSpec, reject_spec_overrides, resolve_engine
+from ..coding.spec import CodecSpec, resolve_engine, resolve_spec
 from .backend import StorageBackend, resolve_backend
 from .format import (
     HEADER_SIZE,
-    LAYOUT_FRAME_MAJOR,
     LAYOUT_SUBBAND_MAJOR,
-    LAYOUTS,
     VERSION,
     FrameInfo,
     Header,
@@ -61,10 +65,12 @@ from .format import (
     pack_index,
     read_header,
     read_index,
+    require_write_layout,
 )
 from .serialize import (
     CompressedStream,
     frame_spec,
+    payload_layout,
     serialize_stream,
     spec_for_stream,
 )
@@ -95,18 +101,12 @@ class ArchiveWriter:
         offset: int,
         spec: CodecSpec,
         workers: int = 1,
-        layout: str = LAYOUT_FRAME_MAJOR,
     ) -> None:
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown payload layout {layout!r} (expected one of {LAYOUTS})")
         #: Storage backend holding the container's bytes.
         self.backend = resolve_backend(backend)
         self.path = Path(self.backend.describe())
         #: The writer's full compression configuration.
         self.spec = spec
-        #: Payload layout for frames added by this writer
-        #: (``"frame-major"`` or the progressive ``"subband-major"``).
-        self.layout = layout
         #: Default workers for :meth:`append_batch` — a pool width
         #: (1 = serial) or socket worker addresses for distributed
         #: compression (:mod:`repro.coding.netexec`).
@@ -148,7 +148,7 @@ class ArchiveWriter:
         overwrite: bool = False,
         spec: Optional[CodecSpec] = None,
         workers: int = 1,
-        layout: str = LAYOUT_FRAME_MAJOR,
+        layout: str = LAYOUT_SUBBAND_MAJOR,
         **codec_options,
     ) -> "ArchiveWriter":
         """Create a new archive at ``path`` (refuses to clobber unless told to).
@@ -156,19 +156,11 @@ class ArchiveWriter:
         Configuration defaults: s-transform codec, 4 scales, and the
         :func:`~repro.coding.spec.default_engine` entropy tier.
         Passing ``spec`` together with any explicit codec keyword is an
-        error, never a silent override.  ``layout="subband-major"`` stores
-        payloads coarsest-subband-first so previews decode from a strict
-        byte prefix (and makes the container format version 2).
+        error, never a silent override.  ``layout`` is kept for call
+        compatibility and accepts only ``"subband-major"``.
         """
-        if spec is None:
-            spec = CodecSpec.from_kwargs(
-                codec=codec if codec is not None else "s-transform",
-                scales=scales if scales is not None else 4,
-                engine=engine,
-                **codec_options,
-            )
-        else:
-            reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
+        require_write_layout(layout)
+        spec = resolve_spec(spec, codec, scales, engine, **codec_options)
         backend = resolve_backend(path)
         if backend.exists() and not overwrite:
             raise FileExistsError(
@@ -187,7 +179,7 @@ class ArchiveWriter:
                 )
             )
         )
-        return cls(backend, fh, [], HEADER_SIZE, spec, workers=workers, layout=layout)
+        return cls(backend, fh, [], HEADER_SIZE, spec, workers=workers)
 
     @classmethod
     def append(
@@ -198,15 +190,14 @@ class ArchiveWriter:
         engine: Optional[str] = None,
         spec: Optional[CodecSpec] = None,
         workers: int = 1,
-        layout: Optional[str] = None,
         **codec_options,
     ) -> "ArchiveWriter":
         """Open an existing archive to add frames after the ones it holds.
 
         The codec configuration defaults to the last stored frame's
-        (codec, scales, bank, bit depth, RLE choice), and the payload
-        ``layout`` to the last stored frame's layout, so an appended series
-        stays homogeneous unless overridden explicitly.
+        (codec, scales, bank, bit depth, RLE choice), so an appended series
+        keeps compressing the way it started unless overridden explicitly.
+        New frames are subband-major whatever layout the old ones use.
         """
         backend = resolve_backend(path)
         fh = backend.open_modify()
@@ -214,35 +205,21 @@ class ArchiveWriter:
             header = read_header(fh)
             fh.seek(0, 2)
             entries = read_index(fh, header, fh.tell())
-            if spec is None:
-                if entries and codec is None:
-                    # Inherit the stored configuration via the last frame's
-                    # spec; explicit keywords still override field by field.
-                    inherited = frame_spec(entries[-1])
-                    spec = inherited.replace(
-                        engine=resolve_engine(engine),
-                        scales=scales if scales is not None else inherited.scales,
-                    ).replace_options(**codec_options)
-                else:
-                    spec = CodecSpec.from_kwargs(
-                        codec=codec or "s-transform",
-                        scales=scales if scales is not None else 4,
-                        engine=engine,
-                        **codec_options,
-                    )
+            if spec is None and entries and codec is None:
+                # Inherit the stored configuration via the last frame's
+                # spec; explicit keywords still override field by field.
+                inherited = frame_spec(entries[-1])
+                spec = inherited.replace(
+                    engine=resolve_engine(engine),
+                    scales=scales if scales is not None else inherited.scales,
+                ).replace_options(**codec_options)
             else:
-                reject_spec_overrides(
-                    codec_options, codec=codec, scales=scales, engine=engine
-                )
-            if layout is None:
-                layout = entries[-1].layout if entries else LAYOUT_FRAME_MAJOR
+                spec = resolve_spec(spec, codec, scales, engine, **codec_options)
             # New payloads go after the old index, which stays valid (and
             # the header keeps pointing at it) until close() — so a crash
             # mid-append leaves the archive exactly as it was.
             fh.seek(0, 2)
-            return cls(
-                backend, fh, entries, fh.tell(), spec, workers=workers, layout=layout
-            )
+            return cls(backend, fh, entries, fh.tell(), spec, workers=workers)
         except BaseException:
             fh.close()
             raise
@@ -266,7 +243,9 @@ class ArchiveWriter:
         name = name if name is not None else self._next_name()
         if name in self._names:
             raise ValueError(f"archive already has a frame named {name!r}")
-        payload = serialize_stream(stream, layout=self.layout)
+        # Looked up as this module's global at call time, so a wrapper
+        # installed on ``repro.archive.writer.serialize_stream`` sees it.
+        payload = serialize_stream(stream)
         stream_spec = spec_for_stream(stream)
         entry = FrameInfo(
             index=len(self._entries),
@@ -281,7 +260,7 @@ class ArchiveWriter:
             raw_bytes=stream.original_bytes,
             bank_name=stream_spec.bank_name,
             use_rle=bool(stream_spec.use_rle),
-            layout=self.layout,
+            layout=payload_layout(payload),
         )
         self._fh.seek(self._offset)
         self._fh.write(payload)
@@ -355,9 +334,10 @@ class ArchiveWriter:
         # until the header patch below, an appended archive still reads as
         # its previous state.
         self._fh.flush()
-        # Frame-major-only archives stay byte-identical version-1 files;
-        # the header only says version 2 when a subband-major payload (a
-        # v2 wire feature) is actually present.
+        # Frame-major-only archives (read-compat files, never written here)
+        # stay byte-identical version-1 files; the header only says
+        # version 2 when a subband-major payload (a v2 wire feature) is
+        # actually present.
         subband_major = any(
             entry.layout == LAYOUT_SUBBAND_MAJOR for entry in self._entries
         )

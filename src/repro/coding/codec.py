@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..dwt.subbands import ScaleDetails
+from ..dwt.subbands import ScaleDetails, check_band_shapes
 from ..filters.catalog import get_bank
 from ..filters.qmf import BiorthogonalBank
 from ..fixedpoint.wordlength import WordLengthPlan, plan_word_lengths
@@ -232,12 +232,7 @@ class LosslessWaveletCodec:
 
     def decode_pyramid(self, compressed: CompressedImage) -> FixedPointPyramid:
         """Entropy decode a stream back into a fixed-point pyramid."""
-        if compressed.bank_name != self.bank.name or compressed.scales != self.scales:
-            raise ValueError(
-                "compressed stream was produced with a different codec configuration "
-                f"({compressed.bank_name}/{compressed.scales} vs "
-                f"{self.bank.name}/{self.scales})"
-            )
+        self._check_stream_config(compressed)
         approximation = self._decode_band(compressed.chunk("HH", self.scales))
         details: List[ScaleDetails] = []
         for scale in range(1, self.scales + 1):
@@ -295,12 +290,19 @@ class LosslessWaveletCodec:
         return self.inverse_transform(self.decode_pyramid(compressed))
 
     def _check_stream_config(self, compressed: CompressedImage) -> None:
+        """Reject a stream of another configuration, or one whose declared
+        band shapes do not fit its image, before anything is decoded."""
         if compressed.bank_name != self.bank.name or compressed.scales != self.scales:
             raise ValueError(
                 "compressed stream was produced with a different codec configuration "
                 f"({compressed.bank_name}/{compressed.scales} vs "
                 f"{self.bank.name}/{self.scales})"
             )
+        check_band_shapes(
+            compressed.image_shape,
+            self.scales,
+            ((chunk.kind, chunk.scale, chunk.shape) for chunk in compressed.chunks),
+        )
 
     def decode_preview(self, compressed: CompressedImage, at_scale: int) -> np.ndarray:
         """Decode only the subbands a scale-``at_scale`` preview needs.

@@ -60,7 +60,7 @@ from ..arch.accelerator import AcceleratorRunReport, DwtAccelerator
 from ..filters.catalog import get_bank
 from .codec import CompressedImage, LosslessWaveletCodec
 from .s_transform import CompressedSImage
-from .spec import CodecSpec, codec_names, reject_spec_overrides
+from .spec import CodecSpec, codec_names, resolve_spec
 
 __all__ = [
     "PipelineStats",
@@ -561,40 +561,6 @@ def decode_pipeline() -> StagePipeline:
 # Batched entry points
 # ---------------------------------------------------------------------------
 
-def _resolve_spec(
-    spec: Optional[CodecSpec],
-    codec: Optional[str],
-    scales: Optional[int],
-    engine: Optional[str],
-    transform: Optional[str],
-    transform_engine: Optional[str],
-    codec_options: Dict,
-) -> CodecSpec:
-    if spec is not None:
-        # The legacy keywords all default to None so an explicit value is
-        # distinguishable — mixing them with spec= is rejected instead of
-        # silently losing the keyword.
-        reject_spec_overrides(
-            codec_options,
-            codec=codec,
-            scales=scales,
-            engine=engine,
-            transform=transform,
-            transform_engine=transform_engine,
-        )
-        return spec
-    return CodecSpec.from_kwargs(
-        codec=codec if codec is not None else "s-transform",
-        scales=scales if scales is not None else 4,
-        # None falls through to CodecSpec's default_engine() resolution
-        # (fast, unless REPRO_ENGINE forces a tier).
-        engine=engine,
-        transform=transform if transform is not None else "software",
-        transform_engine=transform_engine if transform_engine is not None else "fast",
-        **codec_options,
-    )
-
-
 def encode_frame(
     frame: np.ndarray,
     spec: CodecSpec,
@@ -668,8 +634,8 @@ def compress_frames(
     frames); its per-frame run reports land in ``stats.accelerator_reports``
     and the streams stay bit-identical to the software path.
     """
-    spec = _resolve_spec(
-        spec, codec, scales, engine, transform, transform_engine, codec_options
+    spec = resolve_spec(
+        spec, codec, scales, engine, transform, transform_engine, **codec_options
     )
     if workers != 1:
         from .executor import make_executor

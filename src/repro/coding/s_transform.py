@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..dwt.subbands import check_band_shapes
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
     rice_decode_array,
@@ -288,10 +289,7 @@ class STransformCodec:
 
     def decode_pyramid(self, compressed: CompressedSImage) -> STransformPyramid:
         """Entropy decode a stream back into a subband pyramid."""
-        if compressed.scales != self.scales:
-            raise ValueError(
-                f"stream has {compressed.scales} scales, codec configured for {self.scales}"
-            )
+        self._check_stream_config(compressed)
         approximation = self._get_band(compressed, "HH", self.scales)
         details: List[Dict[str, np.ndarray]] = []
         for scale in range(1, self.scales + 1):
@@ -324,10 +322,7 @@ class STransformCodec:
         sums) on analysis, so the preview stays in pixel range.
         ``at_scale=0`` equals :meth:`decode` bit for bit.
         """
-        if compressed.scales != self.scales:
-            raise ValueError(
-                f"stream has {compressed.scales} scales, codec configured for {self.scales}"
-            )
+        self._check_stream_config(compressed)
         if not 0 <= at_scale <= self.scales:
             raise ValueError(
                 f"at_scale must be within [0, {self.scales}], got {at_scale}"
@@ -354,6 +349,19 @@ class STransformCodec:
         return self.decode(compressed), compressed
 
     # -- helpers ------------------------------------------------------------------------
+    def _check_stream_config(self, compressed: CompressedSImage) -> None:
+        """Reject a stream of another depth, or one whose declared band
+        shapes do not fit its image, before anything is decoded."""
+        if compressed.scales != self.scales:
+            raise ValueError(
+                f"stream has {compressed.scales} scales, codec configured for {self.scales}"
+            )
+        check_band_shapes(
+            compressed.image_shape,
+            self.scales,
+            ((kind, scale, shape) for (kind, scale), shape in compressed.shapes.items()),
+        )
+
     def _rice_encode_blocks(self, blocks: List[np.ndarray]) -> List[bytes]:
         if self.engine == "scalar":
             return [rice_encode_planar_scalar(block) for block in blocks]

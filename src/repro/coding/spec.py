@@ -47,6 +47,7 @@ __all__ = [
     "codec_names",
     "codec_wire_ids",
     "reject_spec_overrides",
+    "resolve_spec",
     "CodecSpec",
 ]
 
@@ -184,6 +185,47 @@ def reject_spec_overrides(codec_options: Mapping[str, Any], **named: Any) -> Non
             "pass configuration either as a CodecSpec or as keywords, "
             f"not both (got spec= and {sorted(explicit)})"
         )
+
+
+def resolve_spec(
+    spec: Optional["CodecSpec"],
+    codec: Optional[str] = None,
+    scales: Optional[int] = None,
+    engine: Optional[str] = None,
+    transform: Optional[str] = None,
+    transform_engine: Optional[str] = None,
+    **codec_options: Any,
+) -> "CodecSpec":
+    """The one :class:`CodecSpec` an entry point taking both styles means.
+
+    An explicit ``spec`` wins, and any legacy keyword next to it is
+    rejected (:func:`reject_spec_overrides`).  Otherwise the keywords build
+    the spec, with the library defaults for those left ``None``:
+    s-transform, 4 scales, :func:`default_engine`, software transform.
+    """
+    if spec is not None:
+        # The legacy keywords all default to None so an explicit value is
+        # distinguishable — mixing them with spec= is rejected instead of
+        # silently losing the keyword.
+        reject_spec_overrides(
+            codec_options,
+            codec=codec,
+            scales=scales,
+            engine=engine,
+            transform=transform,
+            transform_engine=transform_engine,
+        )
+        return spec
+    return CodecSpec.from_kwargs(
+        codec=codec if codec is not None else "s-transform",
+        scales=scales if scales is not None else 4,
+        # None falls through to CodecSpec's default_engine() resolution
+        # (fast, unless REPRO_ENGINE forces a tier).
+        engine=engine,
+        transform=transform if transform is not None else "software",
+        transform_engine=transform_engine if transform_engine is not None else "fast",
+        **codec_options,
+    )
 
 
 # ---------------------------------------------------------------------------

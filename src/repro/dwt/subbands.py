@@ -12,14 +12,39 @@ corner) that is convenient for storage, entropy coding and visual checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["ScaleDetails", "WaveletPyramid"]
+__all__ = ["ScaleDetails", "WaveletPyramid", "check_band_shapes"]
 
 #: The three detail orientations in the naming of the paper.
 DETAIL_KEYS: Tuple[str, str, str] = ("HG", "GH", "GG")
+
+
+def check_band_shapes(
+    image_shape: Tuple[int, int],
+    scales: int,
+    bands: Iterable[Tuple[str, int, Tuple[int, int]]],
+) -> None:
+    """Raise ``ValueError`` unless every ``(kind, scale, shape)`` band fits
+    the dyadic pyramid of an ``image_shape`` image over ``scales`` scales.
+
+    A scale-``j`` band of an ``h x w`` image is ``(h >> j, w >> j)``, with
+    ``j`` in ``1..scales``.  Decoders check a stream's declared band shapes
+    with this before any entropy decode sizes a band from them, so a
+    doctored shape fails in time and memory bounded by the stream itself.
+    """
+    height, width = image_shape
+    for kind, scale, shape in bands:
+        if not 1 <= scale <= scales:
+            raise ValueError(f"subband {kind}@{scale} lies outside scales 1..{scales}")
+        expected = (height >> scale, width >> scale)
+        if tuple(shape) != expected:
+            raise ValueError(
+                f"subband {kind}@{scale} declares shape {tuple(shape)}, expected "
+                f"{expected} for a {height}x{width} image"
+            )
 
 
 @dataclass

@@ -406,3 +406,30 @@ def test_engine_flags_reject_the_retired_turbo_tier(tmp_path, capsys, command):
         main([command, str(tmp_path / "x.dwta"), "--engine", "turbo"])
     assert "invalid choice: 'turbo'" in capsys.readouterr().err
     assert not (tmp_path / "x.dwta").exists()
+
+
+def test_pack_rejects_the_read_only_frame_major_layout(tmp_path, capsys):
+    archive = tmp_path / "x.dwta"
+    with pytest.raises(SystemExit) as exc:
+        main(["pack", str(archive), "--synthetic", "1", "--layout", "frame-major"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frame-major'" in capsys.readouterr().err
+    assert not archive.exists()
+
+
+def test_pack_append_onto_a_v1_archive_lists_both_layouts(tmp_path, capsys):
+    from legacy_util import frame_major_writes
+
+    archive = tmp_path / "v1.dwta"
+    with frame_major_writes():
+        assert main(["pack", str(archive), "--synthetic", "2", "--size", "32"]) == 0
+    assert main(
+        ["pack", str(archive), "--synthetic", "1", "--size", "32", "--seed", "9", "--append"]
+    ) == 0
+    capsys.readouterr()
+    assert main(["list", str(archive), "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["layout"] for r in records] == ["frame-major", "frame-major", "subband-major"]
+    assert main(["list", str(archive)]) == 0
+    assert "3 frames, format v2" in capsys.readouterr().out
+    assert main(["verify", str(archive), "--deep"]) == 0

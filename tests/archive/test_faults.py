@@ -366,12 +366,12 @@ class TestSubbandMajorTruncationSweep:
 
     @pytest.fixture(scope="class")
     def payload(self):
-        from repro.archive import LAYOUT_SUBBAND_MAJOR, serialize_stream
+        from repro.archive import serialize_stream
         from repro.coding import STransformCodec
         from repro.imaging import shepp_logan
 
         stream = STransformCodec(scales=3).encode(shepp_logan(64))
-        return serialize_stream(stream, layout=LAYOUT_SUBBAND_MAJOR)
+        return serialize_stream(stream)
 
     def test_cut_inside_the_head(self, payload):
         from repro.archive.serialize import PAYLOAD_HEAD_SIZE, parse_section_table

@@ -16,6 +16,8 @@ Three layers of the tentpole property under test:
 """
 
 import asyncio
+import contextlib
+import dataclasses
 import json
 import struct
 
@@ -36,13 +38,21 @@ from repro.archive import (
     prefix_length,
     serialize_stream,
 )
+from repro.archive.format import require_write_layout
+from repro.archive.replication import ReplicatedShardSet
 from repro.archive.serialize import (
     PAYLOAD_HEAD_SIZE,
+    _serialize_frame_major,
     parse_section_table,
 )
-from repro.archive.sharding import ShardedArchiveReader, ShardedArchiveWriter
+from repro.archive.sharding import (
+    ShardedArchiveReader,
+    ShardedArchiveWriter,
+    write_manifest,
+)
 from repro.coding import LosslessWaveletCodec, STransformCodec
 from repro.imaging import ct_slice_series, shepp_logan
+from legacy_util import frame_major_writes
 from server_util import (
     HTTPClient,
     build_plain,
@@ -84,18 +94,15 @@ def run(coro):
 class TestSubbandMajorPayload:
     def test_layouts_are_distinguishable(self, codec, image):
         stream = codec.encode(image)
-        assert payload_layout(serialize_stream(stream)) == LAYOUT_FRAME_MAJOR
-        assert (
-            payload_layout(serialize_stream(stream, layout=LAYOUT_SUBBAND_MAJOR))
-            == LAYOUT_SUBBAND_MAJOR
-        )
+        assert payload_layout(_serialize_frame_major(stream)) == LAYOUT_FRAME_MAJOR
+        assert payload_layout(serialize_stream(stream)) == LAYOUT_SUBBAND_MAJOR
 
     def test_full_roundtrip_is_bit_exact(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         assert np.array_equal(codec.decode(deserialize_stream(payload)), image)
 
     def test_sections_are_coarsest_first(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         table = parse_section_table(payload)
         scales_seen = [s.scale for s in table.sections]
         assert scales_seen == sorted(scales_seen, reverse=True)
@@ -103,7 +110,7 @@ class TestSubbandMajorPayload:
         assert table.sections[0].scale == SCALES
 
     def test_prefix_length_prices_every_scale(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         lengths = [prefix_length(payload, k) for k in range(SCALES + 1)]
         # Scale 0 is the whole payload; every coarser preview is a strictly
         # shorter prefix of it.
@@ -114,7 +121,7 @@ class TestSubbandMajorPayload:
     @pytest.mark.parametrize("at_scale", range(SCALES + 1))
     def test_prefix_bytes_decode_the_preview(self, codec, image, at_scale):
         stream = codec.encode(image)
-        payload = serialize_stream(stream, layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(stream)
         # Hand deserialize_prefix EXACTLY the prefix — one byte fewer must
         # fail, so succeeding here proves the strict-prefix property.
         cut = payload[: prefix_length(payload, at_scale)]
@@ -126,21 +133,19 @@ class TestSubbandMajorPayload:
         assert expected.shape == (side, side)
 
     def test_one_byte_short_of_the_prefix_fails(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         cut = payload[: prefix_length(payload, SCALES) - 1]
         with pytest.raises(TruncatedArchiveError, match="section"):
             deserialize_prefix(cut, SCALES)
 
     def test_scale_zero_prefix_equals_full_decode(self, codec, image):
         stream = codec.encode(image)
-        payload = serialize_stream(stream, layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(stream)
         partial, _ = deserialize_prefix(payload, 0)
         assert np.array_equal(codec.decode(partial), image)
 
     def test_section_crc_guards_each_section(self, codec, image):
-        payload = bytearray(
-            serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
-        )
+        payload = bytearray(serialize_stream(codec.encode(image)))
         table = parse_section_table(bytes(payload))
         payload[table.sections[0].offset] ^= 0xFF
         with pytest.raises(ArchiveIntegrityError, match="section 0"):
@@ -149,20 +154,18 @@ class TestSubbandMajorPayload:
             deserialize_prefix(bytes(payload), SCALES)
 
     def test_meta_crc_guards_the_table(self, codec, image):
-        payload = bytearray(
-            serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
-        )
+        payload = bytearray(serialize_stream(codec.encode(image)))
         payload[PAYLOAD_HEAD_SIZE] ^= 0x01  # first meta byte (the codec id)
         with pytest.raises((ArchiveIntegrityError, ArchiveFormatError)):
             parse_section_table(bytes(payload))
 
     def test_trailing_bytes_raise(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         with pytest.raises(ArchiveFormatError, match="trailing"):
             deserialize_stream(payload + b"\x00")
 
     def test_declared_but_missing_sections_raise(self, codec, image):
-        payload = serialize_stream(codec.encode(image), layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(codec.encode(image))
         with pytest.raises(TruncatedArchiveError):
             deserialize_stream(payload[:-1])
 
@@ -170,7 +173,7 @@ class TestSubbandMajorPayload:
         """A doctored table whose sections are not coarsest-first must be
         refused outright — the prefix property would silently not hold."""
         stream = STransformCodec(scales=SCALES).encode(image)
-        payload = serialize_stream(stream, layout=LAYOUT_SUBBAND_MAJOR)
+        payload = serialize_stream(stream)
         _, _, meta_len = struct.unpack_from("<IBI", payload, 0)
         meta = bytearray(payload[PAYLOAD_HEAD_SIZE : PAYLOAD_HEAD_SIZE + meta_len])
         # s-transform meta: 13-byte prologue then fixed 18-byte descriptors.
@@ -200,8 +203,13 @@ class TestCrossVersionMatrix:
 
     def _write(self, path, layout, workers=1, **kwargs):
         frames = ct_slice_series(count=self.FRAME_COUNT, size=64, seed=7)
-        with ArchiveWriter.create(
-            path, scales=SCALES, layout=layout, workers=workers, **kwargs
+        mint = (
+            frame_major_writes()
+            if layout == LAYOUT_FRAME_MAJOR
+            else contextlib.nullcontext()
+        )
+        with mint, ArchiveWriter.create(
+            path, scales=SCALES, workers=workers, **kwargs
         ) as writer:
             writer.append_batch(list(frames), names=["a", "b", "c"])
         return list(frames)
@@ -250,22 +258,85 @@ class TestCrossVersionMatrix:
         for frame, image in zip(frames, decoded):
             assert np.array_equal(frame, image)
 
-    def test_mixed_layout_archive_reads_every_frame(self, tmp_path):
-        """Appending frame-major frames to a subband-major archive keeps the
-        container at v2 and every frame individually decodable."""
-        path = tmp_path / "mixed.dwta"
-        frames = self._write(path, LAYOUT_SUBBAND_MAJOR)
+    def test_append_to_a_v1_archive_writes_subband_major(self, tmp_path):
+        """Appending to a frame-major archive adds subband-major frames and
+        turns the header into v2; the old frames still decode bit-exactly
+        and preview through the full-read fallback."""
+        path = tmp_path / "v1.dwta"
+        frames = self._write(path, LAYOUT_FRAME_MAJOR)
         extra = ct_slice_series(count=1, size=64, seed=11)[0]
-        with ArchiveWriter.append(path, layout=LAYOUT_FRAME_MAJOR) as writer:
-            writer.append_batch([extra], names=["legacy"])
+        with ArchiveWriter.append(path) as writer:
+            writer.append_batch([extra], names=["d"])
+        codec = STransformCodec(scales=SCALES)
         with ArchiveReader(path) as reader:
             assert reader.header.version == 2
-            assert reader.find("legacy").layout == LAYOUT_FRAME_MAJOR
-            assert reader.find("a").layout == LAYOUT_SUBBAND_MAJOR
-            assert np.array_equal(reader.decode("legacy"), extra)
-            assert np.array_equal(reader.decode("a"), frames[0])
-            # The frame-major frame still previews (full-read fallback).
-            assert reader.read_preview("legacy", 1).shape == (32, 32)
+            assert reader.find("d").layout == LAYOUT_SUBBAND_MAJOR
+            assert np.array_equal(reader.decode("d"), extra)
+            for name, frame in zip(["a", "b", "c"], frames):
+                entry = reader.find(name)
+                assert entry.layout == LAYOUT_FRAME_MAJOR
+                assert np.array_equal(reader.decode(entry), frame)
+                before = reader.bytes_read
+                preview = reader.read_preview(entry, 1)
+                assert reader.bytes_read - before == entry.length
+                assert np.array_equal(
+                    preview, codec.decode_preview(codec.encode(frame), 1)
+                )
+
+    def test_append_to_a_frame_major_set_keeps_its_manifest(self, tmp_path):
+        """A set whose manifest says frame-major takes subband-major frames
+        on append; the manifest bytes stay exactly as they were."""
+        path = tmp_path / "v1.dwts"
+        old = series(count=4, size=64, seed=3)
+        with frame_major_writes():
+            with ShardedArchiveWriter.create(path, shards=2, scales=SCALES) as writer:
+                writer.append_batch(list(old.values()), names=list(old))
+            # Writers only stamp subband-major manifests; mint the flag a
+            # frame-major set's manifest carries.
+            manifest = writer.manifest
+            write_manifest(path, dataclasses.replace(manifest, layout=LAYOUT_FRAME_MAJOR))
+        manifest_bytes = path.read_bytes()
+        new = series(count=4, size=64, seed=9)
+        names = [f"new_{name}" for name in new]
+        with ShardedArchiveWriter.append(path) as writer:
+            writer.append_batch(list(new.values()), names=names)
+        assert path.read_bytes() == manifest_bytes
+        with ShardedArchiveReader(path) as reader:
+            assert reader.manifest.layout == LAYOUT_FRAME_MAJOR
+            for name, frame in old.items():
+                entry = reader.find(name)
+                assert entry.layout == LAYOUT_FRAME_MAJOR
+                assert np.array_equal(reader.decode(name), frame)
+                assert reader.read_preview(name, 1).shape == (32, 32)
+            for name, frame in zip(names, new.values()):
+                assert reader.find(name).layout == LAYOUT_SUBBAND_MAJOR
+                assert np.array_equal(reader.decode(name), frame)
+        for shard_path in path.parent.glob("v1.shard*.dwta"):
+            with ArchiveReader(shard_path) as shard:
+                layouts = {entry.layout for entry in shard.frames}
+                assert shard.header.version == (
+                    2 if LAYOUT_SUBBAND_MAJOR in layouts else 1
+                )
+
+    def test_frame_major_is_read_only(self, tmp_path):
+        with pytest.raises(ValueError, match="read-only"):
+            require_write_layout(LAYOUT_FRAME_MAJOR)
+        creates = {
+            "archive": lambda: ArchiveWriter.create(
+                tmp_path / "a.dwta", layout=LAYOUT_FRAME_MAJOR
+            ),
+            "sharded": lambda: ShardedArchiveWriter.create(
+                tmp_path / "s.dwts", layout=LAYOUT_FRAME_MAJOR
+            ),
+            "replicated": lambda: ReplicatedShardSet.create(
+                tmp_path / "r.dwts", layout=LAYOUT_FRAME_MAJOR
+            ),
+        }
+        for kind, create in creates.items():
+            with pytest.raises(ValueError, match="read-only"):
+                create()
+            # Rejected before a single byte lands on disk.
+            assert not list(tmp_path.iterdir()), kind
 
     def test_append_inherits_the_layout(self, tmp_path):
         path = tmp_path / "inherit.dwta"
@@ -350,7 +421,7 @@ class TestReaderProgressive:
 
     def test_frame_major_preview_falls_back_to_full_read(self, tmp_path, image):
         path = tmp_path / "v1.dwta"
-        with ArchiveWriter.create(path, scales=SCALES) as writer:
+        with frame_major_writes(), ArchiveWriter.create(path, scales=SCALES) as writer:
             writer.append_batch([image], names=["frame"])
         with ArchiveReader(path) as reader:
             entry = reader.find("frame")

@@ -10,6 +10,7 @@ bit-exact decodes through ``ArchiveReader.decode``, ``read_preview`` and
 ``decompress_frames`` under every entropy engine.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.coding import LosslessWaveletCodec, STransformCodec
 from repro.coding.pipeline import CompressedBatch, decompress_frames
 from repro.coding.rice import is_planar_block, rice_decode_array, rice_encode
 from repro.imaging import shepp_logan
+
+from legacy_util import frame_major_writes
 
 pytestmark = pytest.mark.archive
 
@@ -104,8 +107,11 @@ def test_legacy_rice_blocks_decode_bit_exactly(
     expected_preview = codec.decode_preview(planar, PREVIEW_SCALE)
 
     path = tmp_path / "legacy.dwta"
-    with ArchiveWriter.create(
-        path, codec=codec_name, scales=SCALES, layout=layout, **options
+    mint = (
+        frame_major_writes() if layout == LAYOUT_FRAME_MAJOR else contextlib.nullcontext()
+    )
+    with mint, ArchiveWriter.create(
+        path, codec=codec_name, scales=SCALES, **options
     ) as writer:
         writer.add_stream(legacy, name="legacy")
 

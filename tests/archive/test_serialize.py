@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.archive.format import ArchiveFormatError
-from repro.archive.serialize import deserialize_stream, serialize_stream
+from repro.archive.serialize import (
+    _serialize_frame_major,
+    deserialize_stream,
+    serialize_stream,
+)
 from repro.coding import LosslessWaveletCodec, STransformCodec
 from repro.imaging import shepp_logan
 
@@ -51,7 +55,7 @@ def test_payload_is_deterministic(image):
 
 
 def test_truncated_payload_raises(image):
-    payload = serialize_stream(STransformCodec(scales=2).encode(image))
+    payload = _serialize_frame_major(STransformCodec(scales=2).encode(image))
     with pytest.raises(ArchiveFormatError):
         deserialize_stream(payload[: len(payload) // 2])
     with pytest.raises(ArchiveFormatError, match="length prefix"):
@@ -59,13 +63,13 @@ def test_truncated_payload_raises(image):
 
 
 def test_trailing_bytes_raise(image):
-    payload = serialize_stream(STransformCodec(scales=2).encode(image))
+    payload = _serialize_frame_major(STransformCodec(scales=2).encode(image))
     with pytest.raises(ArchiveFormatError, match="trailing bytes"):
         deserialize_stream(payload + b"\x00")
 
 
 def test_unknown_codec_id_raises(image):
-    payload = bytearray(serialize_stream(STransformCodec(scales=2).encode(image)))
+    payload = bytearray(_serialize_frame_major(STransformCodec(scales=2).encode(image)))
     payload[4] = 0xEE  # first meta byte is the codec id
     with pytest.raises(ArchiveFormatError, match="unknown codec id"):
         deserialize_stream(bytes(payload))
@@ -73,7 +77,9 @@ def test_unknown_codec_id_raises(image):
 
 def test_word_length_metadata_guard(image):
     """A doctored word-length field must be rejected, not silently decoded."""
-    payload = bytearray(serialize_stream(LosslessWaveletCodec(scales=2).encode(image)))
+    payload = bytearray(
+        _serialize_frame_major(LosslessWaveletCodec(scales=2).encode(image))
+    )
     # meta layout: codec_id, scales, h(4), w(4), bit_depth, bank_len, "F2",
     # then word_length — offset 4 (prefix) + 11 + 1 + 2 = 18.
     offset = 4 + 11 + 1 + 2

@@ -12,6 +12,7 @@ from repro.archive import (
     spec_for_stream,
 )
 from repro.archive.format import ArchiveFormatError
+from repro.archive.serialize import _serialize_frame_major
 from repro.coding import compress_frames
 from repro.coding.spec import CodecSpec
 from repro.imaging.phantoms import random_image, shepp_logan
@@ -85,7 +86,7 @@ class TestSpecThroughFrameHeaders:
 
     def test_unregistered_codec_id_is_a_format_error(self):
         batch = compress_frames(frames_4()[:1], codec="s-transform", scales=2)
-        payload = bytearray(serialize_stream(batch.streams[0]))
+        payload = bytearray(_serialize_frame_major(batch.streams[0]))
         payload[4] = 0xEE  # first meta byte is the codec wire id
         with pytest.raises(ArchiveFormatError, match="codec id"):
             deserialize_stream_with_spec(bytes(payload))

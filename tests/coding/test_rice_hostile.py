@@ -10,7 +10,8 @@ out of range), never by allocating what it declares.  Interleaved blocks
 stay readable for read-compat, so their hostile headers and truncations
 are checked here too, against the bit-by-bit reference.  An RLE run
 stream's lengths are checked against its band's shape before any band is
-sized from them.
+sized from them, and every band's declared shape is checked against the
+image geometry before any decoder sizes a band from it.
 """
 
 import dataclasses
@@ -20,6 +21,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.archive.serialize import (
+    _serialize_frame_major,
+    deserialize_stream,
+    serialize_stream,
+)
 from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.rice import (
     PLANAR_FLAG,
@@ -28,6 +34,7 @@ from repro.coding.rice import (
     rice_encode,
     rice_encode_planar,
 )
+from repro.coding.s_transform import STransformCodec
 
 from repro.imaging.phantoms import shepp_logan
 
@@ -244,3 +251,59 @@ def test_rle_streams_must_fill_the_band(coefficient_stream, engine, runs):
     codec = LosslessWaveletCodec("F2", scales=4, engine=engine)
     with pytest.raises(ValueError, match="RLE"):
         codec.decode(stream)
+
+
+# -- Declared band shapes ---------------------------------------------------------------
+
+#: A 64x64, 3-scale stream whose GG@1 band declares a far larger shape.
+#: The RLE trick costs ten bytes (one run filling the declared band), the
+#: s-transform one a 1 MiB-symbol block of zeros; decoding either as
+#: declared would allocate many times the memory cap.
+RLE_SIDE = 4096
+PLAIN_SIDE = 1024
+
+
+def _hostile_band_stream(codec_name):
+    image = shepp_logan(64)
+    if codec_name == "coefficient":
+        stream = LosslessWaveletCodec("F2", scales=3, use_rle=True).encode(image)
+        chunks = [
+            dataclasses.replace(
+                chunk,
+                shape=(RLE_SIDE, RLE_SIDE),
+                payload=rice_encode_planar([]),
+                run_payload=rice_encode_planar([RLE_SIDE * RLE_SIDE]),
+            )
+            if (chunk.kind, chunk.scale) == ("GG", 1)
+            else chunk
+            for chunk in stream.chunks
+        ]
+        return dataclasses.replace(stream, chunks=chunks)
+    stream = STransformCodec(scales=3).encode(image)
+    stream.chunks[("GG", 1)] = rice_encode_planar(
+        np.zeros(PLAIN_SIDE * PLAIN_SIDE, dtype=np.int64), k=0
+    )
+    stream.shapes[("GG", 1)] = (PLAIN_SIDE, PLAIN_SIDE)
+    return stream
+
+
+@pytest.fixture(scope="module", params=["coefficient", "s-transform"])
+def hostile_band_stream(request):
+    return request.param, _hostile_band_stream(request.param)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+@pytest.mark.parametrize("layout", ["frame-major", "subband-major"])
+def test_declared_band_shape_is_checked_before_decode(hostile_band_stream, layout, engine):
+    """Shapes read from a payload must fit the image before they size anything."""
+    codec_name, stream = hostile_band_stream
+    mint = _serialize_frame_major if layout == "frame-major" else serialize_stream
+    stored = deserialize_stream(mint(stream))
+    if codec_name == "coefficient":
+        codec = LosslessWaveletCodec("F2", scales=3, engine=engine)
+    else:
+        codec = STransformCodec(scales=3, engine=engine)
+    _assert_bounded_failure(ValueError, codec.decode, stored)
+    _assert_bounded_failure(ValueError, codec.decode_pyramid, stored)
+    for at_scale in (0, 2):
+        _assert_bounded_failure(ValueError, codec.decode_preview, stored, at_scale)
