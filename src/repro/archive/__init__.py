@@ -17,7 +17,10 @@ can be located, checksummed and decoded without reading anything else:
     :class:`~repro.coding.spec.CodecSpec` spanning N containers behind a
     manifest and a deterministic by-name shard router.  Packs run one
     compress job per shard; random access opens exactly one shard;
-    damage to one shard is isolated from the rest.
+    damage to one shard is isolated from the rest.  :func:`open_archive`
+    returns a ``ShardedArchiveReader`` for every target — a plain
+    container opens as a one-shard set — so callers never branch on
+    which kind they opened.
 ``StreamingIngestor`` / ``ingest_frames`` / ``ingest_async`` / ``iter_compress``
     Streaming ingest (:mod:`repro.archive.ingest`): frames flow from a
     feed through a bounded queue with backpressure straight into (sharded,

@@ -41,7 +41,9 @@ Runs the medical-archive scenario end to end against real files:
     the cache.  Runs until interrupted (Ctrl-C exits cleanly).
 
 ``list``, ``extract``, ``verify``, ``repair`` and ``serve`` accept either a
-single container or a shard-set manifest — told apart by their magic bytes.
+single container or a shard-set manifest — told apart by their magic bytes;
+``list``, ``extract`` and ``verify`` read a single container as a one-shard
+set, through the same code as a set.
 
 Exit status is 0 on success and 1 on any archive error (bad format,
 truncation, checksum mismatch), reported as a single-line message on
@@ -508,10 +510,10 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     with open_archive(args.archive) as reader:
-        sharded = isinstance(reader, ShardedArchiveReader)
         if args.json:
             records = []
             for e in reader:
+                shard = reader.router.route(e.name)
                 record = {
                     "index": e.index,
                     "name": e.name,
@@ -526,15 +528,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
                     "raw_bytes": e.raw_bytes,
                     "crc32": f"{e.crc32:08x}",
                     "layout": e.layout,
+                    "shard": shard,
                 }
-                if sharded:
-                    shard = reader.router.route(e.name)
-                    record["shard"] = shard
-                    placed = reader.manifest.placement.get(
-                        reader.manifest.shard_names[shard]
-                    )
-                    if placed:
-                        record["placed_node"] = placed
+                placed = reader.manifest.placement.get(reader.manifest.shard_names[shard])
+                if placed:
+                    record["placed_node"] = placed
                 if args.verbose:
                     record["spec"] = frame_spec(e).to_dict()
                 records.append(record)
@@ -544,20 +542,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             f"{'idx':>4} {'name':<20} {'codec':<12} {'size':<10} "
             f"{'sc':>2} {'bits':>4} {'raw kB':>8} {'stored kB':>10} {'ratio':>6}"
         )
-        if sharded:
-            placement_note = (
-                f", {len(reader.manifest.placement)} shards placed on "
-                f"{len(set(reader.manifest.placement.values()))} nodes"
-                if reader.manifest.placement
-                else ""
-            )
-            print(
-                f"{args.archive}: {len(reader)} frames in {reader.shard_count} "
-                f"shards ({reader.manifest.router}-routed), "
-                f"manifest v{reader.manifest.version}{placement_note}"
-            )
-        else:
-            print(f"{args.archive}: {len(reader)} frames, format v{reader.header.version}")
+        print(f"{args.archive}: {reader.summary()}")
         print(header)
         print("-" * len(header))
         for e in reader:
@@ -628,66 +613,43 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = "deep (checksums + full decode)" if args.deep else "checksums"
     with open_archive(args.archive) as reader:
-        if isinstance(reader, ShardedArchiveReader):
-            # strict=False: scan every copy and report, instead of raising
-            # at the first damaged one — damage is isolated, not contagious.
-            report = reader.verify(deep=args.deep, workers=args.workers, strict=False)
-            failures = report["failures"]
-            damaged = sorted(
-                name
-                for name, status in report["shard_status"].items()
-                if status == "damaged"
-            )
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "archive": args.archive,
-                            "ok": not damaged,
-                            "frames": report["frames"],
-                            "payload_bytes": report["payload_bytes"],
-                            "deep": report["deep"],
-                            "shards": report["shards"],
-                            "copies": report["copies"],
-                            "shard_status": report["shard_status"],
-                            "failures": failures,
-                        },
-                        indent=2,
-                    )
-                )
-                return 1 if damaged else 0
-            if failures:
-                for copy_name, error in sorted(failures.items()):
-                    print(f"error: shard {copy_name}: {error}", file=sys.stderr)
-                print(
-                    f"{args.archive}: {len(damaged)} of {report['shards']} shards "
-                    f"DAMAGED; {report['frames']} frames in the other shards "
-                    f"verified clean ({mode})"
-                )
-                return 1
-            print(
-                f"{args.archive}: OK — {report['frames']} frames across "
-                f"{report['shards']} shards, {report['payload_bytes']} payload "
-                f"bytes verified ({mode})"
-            )
-            return 0
-        report = reader.verify(deep=args.deep, workers=args.workers)
+        # strict=False: scan every copy and report, instead of raising at
+        # the first damaged one — damage is isolated, not contagious.
+        report = reader.verify(deep=args.deep, workers=args.workers, strict=False)
+        across = "" if reader.kind == "plain" else f" across {report['shards']} shards"
+    failures = report["failures"]
+    damaged = sorted(
+        name for name, status in report["shard_status"].items() if status == "damaged"
+    )
     if args.json:
         print(
             json.dumps(
                 {
                     "archive": args.archive,
-                    "ok": True,
+                    "ok": not damaged,
                     "frames": report["frames"],
                     "payload_bytes": report["payload_bytes"],
                     "deep": report["deep"],
+                    "shards": report["shards"],
+                    "copies": report["copies"],
+                    "shard_status": report["shard_status"],
+                    "failures": failures,
                 },
                 indent=2,
             )
         )
-        return 0
+        return 1 if damaged else 0
+    if failures:
+        for copy_name, error in sorted(failures.items()):
+            print(f"error: shard {copy_name}: {error}", file=sys.stderr)
+        print(
+            f"{args.archive}: {len(damaged)} of {report['shards']} shards "
+            f"DAMAGED; {report['frames']} frames in the other shards "
+            f"verified clean ({mode})"
+        )
+        return 1
     print(
-        f"{args.archive}: OK — {report['frames']} frames, "
+        f"{args.archive}: OK — {report['frames']} frames{across}, "
         f"{report['payload_bytes']} payload bytes verified ({mode})"
     )
     return 0

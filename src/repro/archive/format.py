@@ -396,10 +396,16 @@ def unpack_index(data: bytes, frame_count: int) -> List[FrameInfo]:
         offset, length, payload_crc, codec_id, scales, bit_depth, flags, height, width, raw = fields
         if codec_id not in CODEC_NAMES_BY_ID:
             raise ArchiveFormatError(f"index entry {index} has unknown codec id {codec_id}")
+        try:
+            name_text, bank_text = name.decode("utf-8"), bank.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveFormatError(
+                f"index entry {index} has a frame or bank name that is not UTF-8"
+            ) from exc
         entries.append(
             FrameInfo(
                 index=index,
-                name=name.decode("utf-8"),
+                name=name_text,
                 codec=CODEC_NAMES_BY_ID[codec_id],
                 scales=scales,
                 bit_depth=bit_depth,
@@ -408,7 +414,7 @@ def unpack_index(data: bytes, frame_count: int) -> List[FrameInfo]:
                 length=length,
                 crc32=payload_crc,
                 raw_bytes=raw,
-                bank_name=bank.decode("utf-8"),
+                bank_name=bank_text,
                 use_rle=bool(flags & FLAG_USE_RLE),
                 layout=(
                     LAYOUT_SUBBAND_MAJOR
@@ -464,7 +470,9 @@ class ShardManifest:
     """Parsed shard-set manifest: everything needed to open the set.
 
     ``shard_names`` are container file names relative to the manifest's own
-    directory; ``spec_json`` is the set-level codec configuration
+    directory — one plain file name each, never a path that could leave it
+    (:func:`pack_manifest` and :func:`unpack_manifest` reject any other);
+    ``spec_json`` is the set-level codec configuration
     (:meth:`~repro.coding.spec.CodecSpec.to_json`), stored so every shard —
     including still-empty ones — appends with the configuration the set was
     created with.  ``boundaries`` are the range router's cutoff names
@@ -503,6 +511,12 @@ class ShardManifest:
             for name, node in zip(self.shard_names, self.node_ids)
             if node
         }
+
+
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` is one plain file name: it stays inside the
+    manifest's directory when joined onto it."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
 
 
 def _pack_str(text: str, label: str) -> bytes:
@@ -551,6 +565,12 @@ def pack_manifest(manifest: ShardManifest) -> bytes:
         raise ValueError(
             f"unknown payload layout {manifest.layout!r} (expected one of {LAYOUTS})"
         )
+    replica_names = [name for names in manifest.replica_names for name in names]
+    for name in (*manifest.shard_names, *replica_names):
+        if not _is_file_name(name):
+            raise ValueError(
+                f"container name {name!r} is not one file name in the manifest's directory"
+            )
     spec_data = manifest.spec_json.encode("utf-8")
     flags = (
         MANIFEST_FLAG_SUBBAND_MAJOR
@@ -592,6 +612,13 @@ def pack_manifest(manifest: ShardManifest) -> bytes:
     return body + struct.pack("<I", crc32(body))
 
 
+def _decode_str(raw: bytes, label: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"manifest {label} is not UTF-8") from exc
+
+
 def unpack_manifest(data: bytes) -> ShardManifest:
     """Parse and validate a shard-set manifest."""
     if len(data) < _MANIFEST_STRUCT.size + 4:
@@ -627,7 +654,16 @@ def unpack_manifest(data: bytes) -> ShardManifest:
         if len(raw) != length or pos + length > end:
             raise TruncatedArchiveError(f"manifest ends inside {label}")
         pos += length
-        return raw.decode("utf-8")
+        return _decode_str(raw, label)
+
+    def take_name(label: str) -> str:
+        name = take_str(label)
+        if not _is_file_name(name):
+            raise ArchiveFormatError(
+                f"manifest {label} {name!r} is not one file name in the "
+                "manifest's directory"
+            )
+        return name
 
     try:
         (spec_len,) = struct.unpack_from("<I", data, pos)
@@ -638,7 +674,7 @@ def unpack_manifest(data: bytes) -> ShardManifest:
     if len(spec_raw) != spec_len or pos + spec_len > end:
         raise TruncatedArchiveError("manifest ends inside the spec block")
     pos += spec_len
-    shard_names = tuple(take_str(f"shard name {i}") for i in range(shard_count))
+    shard_names = tuple(take_name(f"shard name {i}") for i in range(shard_count))
     try:
         (boundary_count,) = struct.unpack_from("<H", data, pos)
     except struct.error as exc:
@@ -658,7 +694,7 @@ def unpack_manifest(data: bytes) -> ShardManifest:
             pos += 2
             replica_map.append(
                 tuple(
-                    take_str(f"shard {shard} replica {i}")
+                    take_name(f"shard {shard} replica {i}")
                     for i in range(replica_count)
                 )
             )
@@ -687,7 +723,7 @@ def unpack_manifest(data: bytes) -> ShardManifest:
         version=version,
         router=router,
         shard_names=shard_names,
-        spec_json=spec_raw.decode("utf-8"),
+        spec_json=_decode_str(spec_raw, "spec block"),
         boundaries=boundaries,
         replica_names=replica_names,
         layout=(

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from ..coding.executor import make_executor, shard_indices
+from ..coding.executor import make_executor
 from ..coding.pipeline import (
     CodecResources,
     CompressedBatch,
@@ -58,6 +58,7 @@ from .format import (
     read_header,
     read_index,
 )
+from .placement import count_placement
 from .serialize import (
     PAYLOAD_HEAD_SIZE,
     CompressedStream,
@@ -69,15 +70,16 @@ from .serialize import (
     sections_to_stream,
 )
 
-__all__ = ["ArchiveReader", "VerifyReport"]
+__all__ = ["ArchiveReader", "VerifyReport", "verify_containers"]
 
 PathLike = Union[str, Path]
 Target = Union[str, Path, StorageBackend]
 FrameKey = Union[int, str, FrameInfo]
 
-#: Error names a ``verify_frames`` job may report, mapped back to the class
-#: the serial path raises.  A closed set: a worker never chooses what this
-#: process instantiates (unknown names raise the :class:`ArchiveError` base).
+#: Error names a ``verify_container`` job may report, mapped back to the
+#: class the serial path raises.  A closed set: a worker never chooses what
+#: this process instantiates (unknown names raise the :class:`ArchiveError`
+#: base).
 _VERIFY_ERRORS = {
     cls.__name__: cls
     for cls in (
@@ -94,7 +96,134 @@ class VerifyReport(dict):
     ``frames``, ``payload_bytes`` and ``deep`` keys, printable as is)."""
 
 
-class ArchiveReader:
+def raise_verify_failure(result: Dict) -> None:
+    """Raise the error a failed ``verify_container`` result records, as the
+    class and message the serial path raises."""
+    raise _VERIFY_ERRORS.get(result["error"], ArchiveError)(result["message"])
+
+
+def verify_containers(
+    targets: Sequence[Target],
+    deep: bool,
+    engine: str,
+    verify_checksums: bool,
+    workers,
+    prefer: Optional[Sequence[Optional[str]]] = None,
+) -> Tuple[List[Dict], Tuple[int, int]]:
+    """Verify whole containers as ``verify_container`` jobs on the executor
+    ``workers`` names, each split into ``width // len(targets)`` index parts
+    when the executor is wider than the container count.  Paths may leave
+    this process; backends force the inline executor.  ``prefer`` names a
+    preferred node per container.
+
+    Returns one merged result per container — a damaged one reports its
+    lowest failing frame, where the serial path stops — and the run's
+    placement ``(hits, fallbacks)``.
+    """
+    executor = make_executor(workers)  # rejects a width below 1 on every path
+    jobs = [str(t) if isinstance(t, (str, Path)) else t for t in targets]
+    if any(not isinstance(target, str) for target in jobs):
+        executor = make_executor(1)  # backends cannot leave this process
+    parts = max(1, executor.width() // len(jobs))
+    prefer = [node for node in prefer or [None] * len(jobs) for _ in range(parts)]
+    runs = executor.run(
+        "verify_container",
+        [
+            {
+                "target": target,
+                "part": part,
+                "parts": parts,
+                "deep": deep,
+                "engine": engine,
+                "verify_checksums": verify_checksums,
+            }
+            for target in jobs
+            for part in range(parts)
+        ],
+        prefer,
+    )
+    merged = []
+    for first in range(0, len(runs), parts):
+        results = [result for result, _node in runs[first : first + parts]]
+        failed = [result for result in results if not result["ok"]]
+        if failed:
+            merged.append(min(failed, key=lambda result: result["index"]))
+        else:
+            merged.append(
+                {**results[0], "payload_bytes": sum(r["payload_bytes"] for r in results)}
+            )
+    return merged, count_placement(prefer, runs)
+
+
+class _ReaderHelpers:
+    """The listing and bulk-decode helpers every reader shares, written once
+    over ``frames``, ``find``, ``read_stream``, ``spec_for`` and ``engine``
+    (:class:`ArchiveReader` and
+    :class:`~repro.archive.sharding.ShardedArchiveReader`)."""
+
+    #: The reader-level codec configuration, where there is one (a set's
+    #: manifest spec); a lone container has none, its frames may differ.
+    spec: Optional[CodecSpec] = None
+
+    def names(self) -> List[str]:
+        return [entry.name for entry in self.frames]
+
+    @property
+    def compressed_bytes(self) -> int:
+        return sum(entry.length for entry in self.frames)
+
+    @property
+    def raw_bytes(self) -> int:
+        return sum(entry.raw_bytes for entry in self.frames)
+
+    def to_batch(self, keys: Optional[Sequence[FrameKey]] = None) -> CompressedBatch:
+        """Reassemble stored streams into a pipeline :class:`CompressedBatch`,
+        in listing order (or ``keys`` order).
+
+        The selected frames must share one codec configuration (always true
+        for archives written by a single-configuration writer); the result
+        feeds straight into :func:`~repro.coding.pipeline.decompress_frames`.
+        """
+        entries = [self.find(key) for key in keys] if keys is not None else self.frames
+        configs = {
+            (e.codec, e.bit_depth, e.bank_name, e.use_rle) for e in entries
+        }
+        if len(configs) > 1:
+            raise ValueError(
+                "frames use mixed codec configurations; decode them "
+                f"individually instead ({sorted(configs)})"
+            )
+        if entries:
+            spec = self.spec_for(entries[0])
+        else:
+            spec = (self.spec or CodecSpec()).replace(engine=self.engine)
+        return CompressedBatch(
+            codec=spec.codec,
+            engine=spec.engine,
+            codec_options=spec.codec_kwargs(),
+            streams=[self.read_stream(entry) for entry in entries],
+            stats=PipelineStats(),
+            spec=spec,
+        )
+
+    def decode_all(
+        self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1
+    ) -> Tuple[List[np.ndarray], PipelineStats]:
+        """Decode every (selected) frame through the batched pipeline.
+
+        ``workers`` > 1 shards the decode across a process pool
+        (:class:`~repro.coding.executor.ParallelExecutor`); the streams are
+        materialised to bytes first, since zero-copy views cannot cross a
+        process boundary.
+        """
+        batch = self.to_batch(keys)
+        if workers != 1:
+            for stream in batch.streams:
+                materialize_stream(stream)
+        return decompress_frames(batch, workers=workers)
+
+
+class ArchiveReader(_ReaderHelpers):
     """Opens an archive for listing, random access, and verification.
 
     Parameters
@@ -189,17 +318,6 @@ class ArchiveReader:
 
     def __iter__(self) -> Iterator[FrameInfo]:
         return iter(self.frames)
-
-    def names(self) -> List[str]:
-        return [entry.name for entry in self.frames]
-
-    @property
-    def compressed_bytes(self) -> int:
-        return sum(entry.length for entry in self.frames)
-
-    @property
-    def raw_bytes(self) -> int:
-        return sum(entry.raw_bytes for entry in self.frames)
 
     def find(self, key: FrameKey) -> FrameInfo:
         """Resolve a frame by index (negative allowed), name, or identity."""
@@ -443,52 +561,6 @@ class ArchiveReader:
         """Decode the frames of ``[start, stop)`` without touching the rest."""
         return [self.decode(entry) for entry in self.frames[start:stop]]
 
-    # -- bulk path through the batched pipeline -----------------------------------------
-    def to_batch(self, keys: Optional[Sequence[FrameKey]] = None) -> CompressedBatch:
-        """Reassemble stored streams into a pipeline :class:`CompressedBatch`.
-
-        The selected frames must share one codec configuration (always true
-        for archives written by a single-configuration writer); the result
-        feeds straight into :func:`~repro.coding.pipeline.decompress_frames`.
-        """
-        entries = [self.find(key) for key in keys] if keys is not None else list(self.frames)
-        configs = {
-            (e.codec, e.bit_depth, e.bank_name, e.use_rle) for e in entries
-        }
-        if len(configs) > 1:
-            raise ValueError(
-                "frames use mixed codec configurations; decode them "
-                f"individually instead ({sorted(configs)})"
-            )
-        if entries:
-            spec = self.spec_for(entries[0])
-        else:
-            spec = CodecSpec(engine=self.engine)
-        return CompressedBatch(
-            codec=spec.codec,
-            engine=spec.engine,
-            codec_options=spec.codec_kwargs(),
-            streams=[self.read_stream(entry) for entry in entries],
-            stats=PipelineStats(),
-            spec=spec,
-        )
-
-    def decode_all(
-        self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode every (selected) frame through the batched pipeline.
-
-        ``workers`` > 1 shards the decode across a process pool
-        (:class:`~repro.coding.executor.ParallelExecutor`); the streams are
-        materialised to bytes first, since zero-copy views cannot cross a
-        process boundary.
-        """
-        batch = self.to_batch(keys)
-        if workers != 1:
-            for stream in batch.streams:
-                materialize_stream(stream)
-        return decompress_frames(batch, workers=workers)
-
     # -- integrity ----------------------------------------------------------------------
     def verify_frame(self, entry: FrameInfo, deep: bool) -> int:
         """Verify one frame (checksum, optionally a full decode); returns
@@ -517,43 +589,26 @@ class ArchiveReader:
 
         ``workers=1`` verifies through this reader.  Any other ``workers``
         value (a pool width, or socket workers — ``"host:port,host:port"``
-        or a :class:`~repro.coding.netexec.WorkerPool`) shards the frames into
-        ``verify_frames`` jobs on that executor (file-backed archives only
-        — other backends verify here): each job reopens the archive by path
-        (socket workers must see its filesystem) and verifies its share, so
-        deep verification parallelises the way ``pack --workers`` does.
-        Damage raises the same error, with the same message, as the serial
-        path.  The payload reads then happen in the jobs, so this reader's
+        or a :class:`~repro.coding.netexec.WorkerPool`) splits the frames
+        into ``verify_container`` jobs on that executor
+        (:func:`verify_containers`; file-backed archives only — other
+        backends verify here): each job reopens the archive by path (socket
+        workers must see its filesystem) and verifies its part, so deep
+        verification parallelises the way ``pack --workers`` does.  Damage
+        raises the same error, with the same message, as the serial path.
+        The payload reads then happen in the jobs, so this reader's
         ``bytes_read`` counter does not advance.
         """
-        executor = make_executor(workers)  # rejects a width below 1 on every path
-        if workers == 1 or not self.frames or not isinstance(self.backend, FileBackend):
+        if workers == 1 or not isinstance(self.backend, FileBackend):
+            make_executor(workers)  # rejects a width below 1 on every path
             payload_bytes = sum(self.verify_frame(entry, deep) for entry in self.frames)
-            return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
-        shards = shard_indices(len(self.frames), executor.width())
-        results = [
-            result
-            for result, _node in executor.run(
-                "verify_frames",
-                [
-                    {
-                        "path": str(self.backend.path),
-                        "indices": indices,
-                        "deep": deep,
-                        "engine": self.engine,
-                        "verify_checksums": self.verify_checksums,
-                    }
-                    for indices in shards
-                ],
+        else:
+            (result,), _placement = verify_containers(
+                [self.backend.path], deep, self.engine, self.verify_checksums, workers
             )
-        ]
-        failures = [result for result in results if not result["ok"]]
-        if failures:
-            # Each job stops at its shard's first damaged frame; the lowest
-            # of those is the frame the serial path stops at.
-            first = min(failures, key=lambda result: result["index"])
-            raise _VERIFY_ERRORS.get(first["error"], ArchiveError)(first["message"])
-        payload_bytes = sum(result["payload_bytes"] for result in results)
+            if not result["ok"]:
+                raise_verify_failure(result)
+            payload_bytes = result["payload_bytes"]
         return VerifyReport(frames=len(self.frames), payload_bytes=payload_bytes, deep=deep)
 
     # -- lifecycle ----------------------------------------------------------------------

@@ -28,10 +28,12 @@ The pieces, bottom up:
     with ``cache_info()`` evidence counters.
 :class:`ArchiveService`
     Wraps one archive target (plain container, sharded set, replicated
-    set — by path or :class:`~repro.archive.backend.StorageBackend`)
-    behind async operations: cached frame decodes, zero-copy payload
-    slice reads, metadata/manifest listings, live stats, and serialized
-    streaming ingest.  The PR 6 failure ladder (retry → failover) runs
+    set — by path or :class:`~repro.archive.backend.StorageBackend`),
+    opened through the one front reader
+    (:func:`~repro.archive.sharding.open_archive`; a plain container is a
+    one-shard set), behind async operations: cached frame decodes,
+    zero-copy payload slice reads, metadata/manifest listings, live stats,
+    and serialized streaming ingest.  The PR 6 failure ladder (retry → failover) runs
     inside the readers; what survives it surfaces here as an
     :class:`~repro.archive.format.ArchiveError` the HTTP layer maps to
     **503 + Retry-After** (persistent damage needs an operator, not a
@@ -97,7 +99,6 @@ import numpy as np
 from .backend import RetryPolicy, StorageBackend
 from .format import ArchiveError, FrameInfo
 from .ingest import IngestReport, ingest_async
-from .reader import ArchiveReader
 from .serialize import frame_spec
 from .sharding import (
     ShardedArchiveReader,
@@ -511,14 +512,7 @@ class ArchiveService:
         self._started = False
 
     # -- target plumbing ----------------------------------------------------------------
-    def _open_reader(self):
-        if isinstance(self.target, StorageBackend):
-            return ArchiveReader(
-                self.target,
-                engine=self.engine,
-                retry=self.retry,
-                zero_copy=self.zero_copy,
-            )
+    def _open_reader(self) -> ShardedArchiveReader:
         return open_archive(
             self.target,
             engine=self.engine,
@@ -537,32 +531,20 @@ class ArchiveService:
         return ArchiveWriter.append(self.target)
 
     @property
-    def sharded(self) -> bool:
-        return isinstance(self._reader, ShardedArchiveReader)
-
-    @property
     def kind(self) -> str:
-        if self.sharded:
-            return "replicated" if self._reader.replicas else "sharded"
-        return "plain"
+        """``"plain"``, ``"sharded"`` or ``"replicated"``."""
+        return self._reader.kind
 
     @property
     def shard_count(self) -> int:
-        return self._reader.shard_count if self.sharded else 1
+        return self._reader.shard_count
 
     @property
     def generation(self) -> int:
         return self._generation
 
-    def describe(self) -> str:
-        if isinstance(self.target, StorageBackend):
-            return self.target.describe()
-        return str(self.target)
-
     def _route(self, name: str) -> int:
-        if self.sharded:
-            return self._reader.router.route(name)
-        return 0
+        return self._reader.router.route(name)
 
     # -- lifecycle ----------------------------------------------------------------------
     async def start(self) -> None:
@@ -649,31 +631,23 @@ class ArchiveService:
     def _reader_counters(self) -> Dict[str, object]:
         readers = [*self._graveyard, self._reader]
         counters: Dict[str, object] = {
-            "bytes_read": sum(r.bytes_read for r in readers),
-            "zero_copy_reads": sum(r.zero_copy_reads for r in readers),
-            "retries": sum(r.retries for r in readers),
+            name: sum(getattr(r, name) for r in readers)
+            for name in (
+                "bytes_read",
+                "zero_copy_reads",
+                "retries",
+                "failovers",
+                "placement_hits",
+                "placement_fallbacks",
+            )
         }
-        if self.sharded:
-            counters["failovers"] = sum(
-                r.failovers for r in readers if isinstance(r, ShardedArchiveReader)
-            )
-            counters["opened_shards"] = self._reader.opened_shards
-            counters["placement_hits"] = sum(
-                r.placement_hits
-                for r in readers
-                if isinstance(r, ShardedArchiveReader)
-            )
-            counters["placement_fallbacks"] = sum(
-                r.placement_fallbacks
-                for r in readers
-                if isinstance(r, ShardedArchiveReader)
-            )
+        counters["opened_shards"] = self._reader.opened_shards
         return counters
 
     def stats(self) -> Dict[str, object]:
         """The live counters behind ``GET /stats`` (plain data, no I/O)."""
-        record: Dict[str, object] = {
-            "archive": self.describe(),
+        return {
+            "archive": self._reader.describe(),
             "kind": self.kind,
             "readonly": self.readonly,
             "requests": {
@@ -695,10 +669,8 @@ class ArchiveService:
                 "frames_ingested": self._frames_ingested,
                 "generation": self._generation,
             },
+            "placement": dict(self._reader.manifest.placement),
         }
-        if self.sharded:
-            record["placement"] = dict(self._reader.manifest.placement)
-        return record
 
     # -- read operations ----------------------------------------------------------------
     async def get_frame(self, name: str) -> Tuple[FrameInfo, np.ndarray, bool]:
@@ -786,7 +758,7 @@ class ArchiveService:
         return await self._submit(self._route(name), work)
 
     def _entry_record(self, entry: FrameInfo) -> Dict[str, object]:
-        record = {
+        return {
             "name": entry.name,
             "index": entry.index,
             "codec": entry.codec,
@@ -801,21 +773,22 @@ class ArchiveService:
             "raw_bytes": entry.raw_bytes,
             "crc32": f"{entry.crc32:08x}",
             "spec": frame_spec(entry).to_dict(),
+            "shard": self._route(entry.name),
         }
-        if self.sharded:
-            record["shard"] = self._route(entry.name)
-        return record
 
     async def get_manifest(self) -> Dict[str, object]:
         """The whole-set listing behind ``GET /manifest``."""
 
         def work() -> Dict[str, object]:
             reader = self._reader
-            frames = [self._entry_record(entry) for entry in reader.frames]
-            if self.sharded:
-                manifest = reader.manifest
-                replica_map = manifest.replica_names or ((),) * reader.shard_count
-                shards: Dict[str, object] = {
+            manifest = reader.manifest
+            replica_map = manifest.replica_names or ((),) * reader.shard_count
+            return {
+                "archive": self._reader.describe(),
+                "kind": self.kind,
+                "generation": self._generation,
+                "frames": [self._entry_record(entry) for entry in reader.frames],
+                "shards": {
                     "count": reader.shard_count,
                     "router": manifest.router,
                     "boundaries": list(manifest.boundaries),
@@ -826,18 +799,9 @@ class ArchiveService:
                     },
                     "placement": dict(manifest.placement),
                     "manifest_version": manifest.version,
-                }
-                spec = reader.spec.to_dict()
-            else:
-                shards = {"count": 1, "names": [self.describe()]}
-                spec = reader.spec_for(0).to_dict() if len(reader) else None
-            return {
-                "archive": self.describe(),
-                "kind": self.kind,
-                "generation": self._generation,
-                "frames": frames,
-                "shards": shards,
-                "spec": spec,
+                },
+                # None only for an empty plain container (no frame to ask).
+                "spec": reader.spec.to_dict() if reader.spec is not None else None,
             }
 
         return await asyncio.to_thread(work)

@@ -21,7 +21,9 @@ single-archive API:
     the per-shard ``bytes_read`` counters are the evidence), bulk-decodes
     through the batched pipeline, and verifies shard by shard with damage
     *isolated*: a truncated or corrupted shard is reported while every
-    healthy shard still verifies and serves reads.
+    healthy shard still verifies and serves reads.  It is also the one
+    front reader: a plain container opens as a one-shard set
+    (:func:`open_archive`).
 
 Routing is by frame *name*, never by position, so the assignment is stable
 across appends and processes:
@@ -52,11 +54,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..coding.executor import make_executor, stamp_run_stats
-from ..coding.pipeline import (
-    CompressedBatch,
-    PipelineStats,
-    decompress_frames,
-)
+from ..coding.pipeline import CompressedBatch, PipelineStats
 from ..coding.spec import CodecSpec, resolve_engine, resolve_spec
 from .backend import RetryPolicy, StorageBackend
 from .format import (
@@ -74,8 +72,15 @@ from .format import (
     unpack_manifest,
 )
 from .placement import PlacementLike, count_placement, normalize_placement
-from .reader import ArchiveReader, FrameKey, VerifyReport
-from .serialize import CompressedStream, materialize_stream
+from .reader import (
+    ArchiveReader,
+    FrameKey,
+    VerifyReport,
+    _ReaderHelpers,
+    raise_verify_failure,
+    verify_containers,
+)
+from .serialize import CompressedStream
 from .writer import ArchiveWriter
 
 __all__ = [
@@ -93,6 +98,7 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+Target = Union[str, Path, StorageBackend]
 
 
 # ---------------------------------------------------------------------------
@@ -203,68 +209,25 @@ def write_manifest(path: PathLike, manifest: ShardManifest) -> None:
     os.replace(temp, path)
 
 
+def _probe(path: PathLike) -> Tuple[bool, bytes]:
+    """``(existed, magic)``: whether ``path`` opened, and its first bytes."""
+    try:
+        with open(path, "rb") as fh:
+            return True, fh.read(len(MANIFEST_MAGIC))
+    except OSError:
+        return False, b""
+
+
 def is_sharded(path: PathLike) -> bool:
     """Whether ``path`` is a shard-set manifest (checked by magic bytes)."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(MANIFEST_MAGIC)) == MANIFEST_MAGIC
-    except OSError:
-        return False
+    return _probe(path)[1] == MANIFEST_MAGIC
 
 
-def open_archive(
-    path: PathLike,
-    engine: Optional[str] = None,
-    verify_checksums: bool = True,
-    zero_copy: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    backend_factory: Optional[Callable[[Path], StorageBackend]] = None,
-) -> Union[ArchiveReader, "ShardedArchiveReader"]:
-    """Open a single archive *or* a sharded set, decided by the file magic.
-
-    This is what lets the CLI (``list``/``extract``/``verify``) and the HTTP
-    service take either kind of target transparently.  ``retry`` and
-    ``backend_factory`` are threaded through to the reader (on a plain
-    archive, ``backend_factory`` maps the path to the backend to open).
-
-    A path whose magic was just read but that vanishes before the reader's
-    own open (deleted mid-session) surfaces as
-    :class:`TruncatedArchiveError` — archive damage the failure ladder
-    handles — not as a raw ``FileNotFoundError``; a path that never existed
-    still raises ``FileNotFoundError``.
-    """
-    try:
-        with open(path, "rb") as fh:
-            existed, magic = True, fh.read(len(MANIFEST_MAGIC))
-    except OSError:
-        existed, magic = False, b""
-    if magic == MANIFEST_MAGIC:
-        return ShardedArchiveReader(
-            path,
-            engine=engine,
-            verify_checksums=verify_checksums,
-            zero_copy=zero_copy,
-            retry=retry,
-            backend_factory=backend_factory,
-        )
-    target: Union[Path, StorageBackend] = (
-        backend_factory(Path(path)) if backend_factory else Path(path)
-    )
-    try:
-        return ArchiveReader(
-            target,
-            engine=engine,
-            verify_checksums=verify_checksums,
-            zero_copy=zero_copy,
-            retry=retry,
-        )
-    except FileNotFoundError as exc:
-        if existed:
-            raise TruncatedArchiveError(
-                f"archive {path} disappeared while being opened (the file "
-                "existed when its magic was probed)"
-            ) from exc
-        raise
+def open_archive(path: Target, **options) -> "ShardedArchiveReader":
+    """Open a sharded set *or* a plain container (a one-shard set): the one
+    front door the CLI and the HTTP service read every target through.
+    ``options`` are :class:`ShardedArchiveReader`'s keywords."""
+    return ShardedArchiveReader(path, **options)
 
 
 def _read_manifest(path: Path) -> ShardManifest:
@@ -273,6 +236,17 @@ def _read_manifest(path: Path) -> ShardManifest:
     except FileNotFoundError:
         raise ArchiveFormatError(f"no shard-set manifest at {path}") from None
     return unpack_manifest(data)
+
+
+def _manifest_spec(manifest: ShardManifest) -> CodecSpec:
+    """The set-level spec a manifest stores; a spec block that does not
+    parse as one is manifest damage, like any other malformed field."""
+    try:
+        return CodecSpec.from_json(manifest.spec_json)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ArchiveFormatError(
+            f"manifest spec block is not a codec spec ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +407,7 @@ class ShardedArchiveWriter:
             from .replication import ReplicatedShardSet
 
             return ReplicatedShardSet.append(path, workers=workers, engine=engine)
-        spec = CodecSpec.from_json(manifest.spec_json)
+        spec = _manifest_spec(manifest)
         if engine is not None:
             spec = spec.replace(engine=engine)
         names: set = set()
@@ -597,15 +571,24 @@ class ShardedArchiveWriter:
 # Reader
 # ---------------------------------------------------------------------------
 
-class ShardedArchiveReader:
-    """Opens a sharded set for listing, routed random access and verification.
+class ShardedArchiveReader(_ReaderHelpers):
+    """Opens a sharded set — or a plain container — for listing, routed
+    random access and verification.
 
-    Shards open lazily: random access by *name* routes through the manifest
-    router and touches exactly one shard file — ``opened_shards`` and the
-    summed ``bytes_read`` counter prove it.  Set-level listing and bulk
-    decoding order frames lexicographically by name, which is independent
-    of the shard count (so re-sharding a set never changes what
-    :meth:`decode_all` returns).
+    The one front reader: a *plain container* (a path or a
+    :class:`~repro.archive.backend.StorageBackend`) opens as a one-shard
+    set through an implicit manifest (version 0, never written, naming
+    the target as given) with ``kind == "plain"``.  It opens eagerly, so
+    open-time errors raise here (``FileNotFoundError`` for a path that
+    never existed, :class:`TruncatedArchiveError` for one that vanished
+    after the magic probe), and lists in container order.
+
+    Shards of a set open lazily: random access by *name* routes through
+    the manifest router and touches exactly one shard file —
+    ``opened_shards`` and the summed ``bytes_read`` counter prove it.
+    Set-level listing and bulk decoding order frames lexicographically by
+    name, which is independent of the shard count (so re-sharding a set
+    never changes what :meth:`decode_all` returns).
 
     On a *replicated* set (manifest with a replica map) every routed read
     runs the full failure-handling ladder:
@@ -635,14 +618,13 @@ class ShardedArchiveReader:
 
     def __init__(
         self,
-        path: PathLike,
+        path: Target,
         engine: Optional[str] = None,
         verify_checksums: bool = True,
         retry: Optional[RetryPolicy] = None,
         backend_factory: Optional[Callable[[Path], StorageBackend]] = None,
         zero_copy: bool = True,
     ) -> None:
-        self.path = Path(path)
         self.engine = resolve_engine(engine)
         self.verify_checksums = verify_checksums
         #: Whether per-copy readers may serve payloads zero-copy (mmap).
@@ -653,18 +635,6 @@ class ShardedArchiveReader:
         #: through — the fault-injection seam
         #: (:class:`~repro.archive.backend.FaultInjectionBackend`).
         self.backend_factory = backend_factory
-        self.manifest = _read_manifest(self.path)
-        self.spec = CodecSpec.from_json(self.manifest.spec_json)
-        self.router = router_for_manifest(self.manifest)
-        self.shard_paths: List[Path] = [
-            self.path.parent / name for name in self.manifest.shard_names
-        ]
-        replica_map = self.manifest.replica_names or ((),) * len(self.shard_paths)
-        #: Per shard: every copy's path, primary first.
-        self.copy_paths: List[List[Path]] = [
-            [primary, *(self.path.parent / name for name in replicas)]
-            for primary, replicas in zip(self.shard_paths, replica_map)
-        ]
         #: Routed reads that had to switch to another copy after damage.
         self.failovers = 0
         #: Distributed verifies routed to each shard's placed worker, and
@@ -678,16 +648,56 @@ class ShardedArchiveReader:
         self._retry_count = 0
         self._lock = threading.RLock()
         self._entries: Optional[List[Tuple[int, FrameInfo]]] = None
+        if isinstance(path, StorageBackend):
+            # A plain container held by a backend: every open of its one
+            # copy goes to that backend, and its open errors pass through.
+            self.backend_factory = lambda _path: path
+            self._source, existed, magic = path.describe(), False, b""
+        else:
+            self._source = str(path)
+            existed, magic = _probe(path)
+        self.path = Path(self._source)
+        if magic == MANIFEST_MAGIC:
+            root = self.path.parent  # shard names are relative to the manifest
+            self.manifest = _read_manifest(self.path)
+            self.spec = _manifest_spec(self.manifest)
+            #: ``"plain"``, ``"sharded"`` or ``"replicated"``.
+            self.kind = "replicated" if self.manifest.replicas else "sharded"
+        else:
+            self.kind = "plain"
+            root = Path()  # the one shard name is the target as given
+            try:
+                self._readers[0] = container = self._open_reader(self.path)
+            except FileNotFoundError as exc:
+                if not existed:
+                    raise
+                raise TruncatedArchiveError(
+                    f"archive {self._source} disappeared while being opened "
+                    "(the file existed when its magic was probed)"
+                ) from exc
+            self.spec = container.spec_for(0) if len(container) else None
+            self.manifest = ShardManifest(
+                version=0,
+                router="hash",
+                shard_names=(self._source,),
+                spec_json=self.spec.to_json() if self.spec else "",
+                layout=LAYOUT_SUBBAND_MAJOR,
+            )
+        self.router = router_for_manifest(self.manifest)
+        self.shard_paths: List[Path] = [
+            root / name for name in self.manifest.shard_names
+        ]
+        replica_map = self.manifest.replica_names or ((),) * len(self.shard_paths)
+        #: Per shard: every copy's path, primary first.
+        self.copy_paths: List[List[Path]] = [
+            [primary, *(root / name for name in replicas)]
+            for primary, replicas in zip(self.shard_paths, replica_map)
+        ]
 
     # -- shard plumbing -----------------------------------------------------------------
     @property
     def shard_count(self) -> int:
         return len(self.shard_paths)
-
-    @property
-    def replicas(self) -> int:
-        """Replicas per shard (0 for an unreplicated set)."""
-        return self.manifest.replicas
 
     @property
     def opened_shards(self) -> List[int]:
@@ -723,18 +733,20 @@ class ShardedArchiveReader:
         with self._lock:
             self._retry_count += 1
 
+    def _open_reader(self, path: Path) -> ArchiveReader:
+        return ArchiveReader(
+            self.backend_factory(path) if self.backend_factory else path,
+            engine=self.engine,
+            verify_checksums=self.verify_checksums,
+            retry=self.retry,
+            on_retry=self._note_retry,
+            zero_copy=self.zero_copy,
+        )
+
     def _open_copy(self, shard: int, copy: int) -> ArchiveReader:
         path = self.copy_paths[shard][copy]
-        target = self.backend_factory(path) if self.backend_factory else path
         try:
-            return ArchiveReader(
-                target,
-                engine=self.engine,
-                verify_checksums=self.verify_checksums,
-                retry=self.retry,
-                on_retry=self._note_retry,
-                zero_copy=self.zero_copy,
-            )
+            return self._open_reader(path)
         except FileNotFoundError as exc:
             # The manifest names this copy, so its absence is set damage (a
             # shard file deleted mid-session), not a configuration mistake:
@@ -805,7 +817,8 @@ class ShardedArchiveReader:
         return self._shard_op(shard, lambda reader: reader)
 
     def _all_entries(self) -> List[Tuple[int, FrameInfo]]:
-        """Every frame of the set as ``(shard, entry)``, name-sorted."""
+        """Every frame of the set as ``(shard, entry)``: name-sorted for a
+        set, in container order for a plain container."""
         with self._lock:
             if self._entries is None:
                 pairs = [
@@ -813,7 +826,8 @@ class ShardedArchiveReader:
                     for shard in range(self.shard_count)
                     for entry in self._shard_op(shard, lambda r: list(r.frames))
                 ]
-                pairs.sort(key=lambda pair: pair[1].name)
+                if self.kind != "plain":
+                    pairs.sort(key=lambda pair: pair[1].name)
                 self._entries = pairs
             return self._entries
 
@@ -828,16 +842,26 @@ class ShardedArchiveReader:
     def frames(self) -> List[FrameInfo]:
         return [entry for _, entry in self._all_entries()]
 
-    def names(self) -> List[str]:
-        return [entry.name for _, entry in self._all_entries()]
+    def describe(self) -> str:
+        """The target as given: a path, or the backend's description."""
+        return self._source
 
-    @property
-    def compressed_bytes(self) -> int:
-        return sum(entry.length for _, entry in self._all_entries())
-
-    @property
-    def raw_bytes(self) -> int:
-        return sum(entry.raw_bytes for _, entry in self._all_entries())
+    def summary(self) -> str:
+        """One line on what is open: ``N frames, format vX`` for a plain
+        container; frames, shards, router and manifest version for a set."""
+        if self.kind == "plain":
+            return f"{len(self)} frames, format v{self._reader(0).header.version}"
+        placement = self.manifest.placement
+        placement_note = (
+            f", {len(placement)} shards placed on {len(set(placement.values()))} nodes"
+            if placement
+            else ""
+        )
+        return (
+            f"{len(self)} frames in {self.shard_count} shards "
+            f"({self.manifest.router}-routed), "
+            f"manifest v{self.manifest.version}{placement_note}"
+        )
 
     # -- routed access ------------------------------------------------------------------
     def _locate(self, key: FrameKey) -> Tuple[int, FrameInfo]:
@@ -906,54 +930,6 @@ class ShardedArchiveReader:
         shard, entry = self._locate(key)
         return self._shard_op(shard, lambda r: r.read_roi(entry, y0, y1))
 
-    # -- bulk path ----------------------------------------------------------------------
-    def to_batch(self, keys: Optional[Sequence[FrameKey]] = None) -> CompressedBatch:
-        """Reassemble (selected) stored streams into one pipeline batch,
-        in name-sorted set order."""
-        located = (
-            [self._locate(key) for key in keys]
-            if keys is not None
-            else list(self._all_entries())
-        )
-        configs = {
-            (e.codec, e.bit_depth, e.bank_name, e.use_rle) for _, e in located
-        }
-        if len(configs) > 1:
-            raise ValueError(
-                "frames use mixed codec configurations; decode them "
-                f"individually instead ({sorted(configs)})"
-            )
-        if located:
-            first_shard, first_entry = located[0]
-            spec = self._shard_op(first_shard, lambda r: r.spec_for(first_entry))
-        else:
-            spec = self.spec.replace(engine=self.engine)
-        return CompressedBatch(
-            codec=spec.codec,
-            engine=spec.engine,
-            codec_options=spec.codec_kwargs(),
-            streams=[
-                self._shard_op(shard, lambda r, e=entry: r.read_stream(e))
-                for shard, entry in located
-            ],
-            stats=PipelineStats(),
-            spec=spec,
-        )
-
-    def decode_all(
-        self, keys: Optional[Sequence[FrameKey]] = None, workers: int = 1
-    ) -> Tuple[List[np.ndarray], PipelineStats]:
-        """Decode every (selected) frame through the batched pipeline.
-
-        With ``workers`` > 1 the streams are materialised to bytes first —
-        zero-copy views cannot cross the process-pool boundary.
-        """
-        batch = self.to_batch(keys)
-        if workers != 1:
-            for stream in batch.streams:
-                materialize_stream(stream)
-        return decompress_frames(batch, workers=workers)
-
     # -- integrity ----------------------------------------------------------------------
     def verify(
         self, deep: bool = False, workers: int = 1, strict: bool = True
@@ -967,60 +943,45 @@ class ShardedArchiveReader:
         cross-checked against each other: a copy that is individually
         valid but diverged from its most complete sibling (a stale replica
         left by a torn fan-out append) is reported as damaged too, because
-        it must not serve reads or source a repair.  Each copy is one
-        ``verify_copy`` job on the executor ``workers`` names (1: inline;
-        a wider pool: one process per copy; socket workers —
-        ``"host:port,host:port"`` or a
-        :class:`~repro.coding.netexec.WorkerPool` — remote workers that
-        must see the set's filesystem, each copy routed to its shard's
-        placed node when the manifest has a placement map).
-        ``backend_factory`` forces the inline executor — injected backends
-        cross neither process nor socket boundaries.
+        it must not serve reads or source a repair.  The copies run as
+        ``verify_container`` jobs on the executor ``workers`` names
+        (:func:`~repro.archive.reader.verify_containers`: 1 runs inline; a
+        wider pool or socket workers — ``"host:port,host:port"`` or a
+        :class:`~repro.coding.netexec.WorkerPool`, which must see the
+        set's filesystem — split the copies into index parts, each routed
+        to its shard's placed node when the manifest has a placement map).
+        Copies behind a backend (``backend_factory``, or a plain container
+        given as one) verify inline.
 
         Returns a :class:`VerifyReport` with set totals (counting each
         shard's authoritative copy once) plus ``shards``, ``copies``, a
         ``failures`` mapping (copy file name → error) and ``shard_status``
         (primary shard file name → ``"ok"``/``"damaged"``).  With
-        ``strict`` (the default) any damage raises
+        ``strict`` (the default) any damage raises: a plain container
+        raises its first damaged frame's error, as
+        :meth:`ArchiveReader.verify` does; a set raises
         :class:`ArchiveIntegrityError` naming the damaged shards.  The
         per-copy failure report is exactly what
         :func:`repro.archive.replication.repair_set` consumes to rebuild
         damaged copies from their healthy siblings.
         """
         copy_names: List[Tuple[int, str]] = []  # (shard, copy file name)
+        targets: List[Union[Path, StorageBackend]] = []
         replica_map = self.manifest.replica_names or ((),) * self.shard_count
         for shard, primary in enumerate(self.manifest.shard_names):
-            for name in (primary, *replica_map[shard]):
+            for name, path in zip((primary, *replica_map[shard]), self.copy_paths[shard]):
                 copy_names.append((shard, name))
-        targets = [
-            self.backend_factory(self.path.parent / name)
-            if self.backend_factory
-            else str(self.path.parent / name)
-            for _, name in copy_names
-        ]
-        executor = make_executor(workers)  # rejects a width below 1 on every path
-        if self.backend_factory is not None:
-            executor = make_executor(1)  # injected backends cannot leave this process
+                targets.append(self.backend_factory(path) if self.backend_factory else path)
         placement = self.manifest.placement
         prefer = [placement.get(self.manifest.shard_names[shard]) for shard, _ in copy_names]
-        runs = executor.run(
-            "verify_copy",
-            [
-                {
-                    "target": target,
-                    "deep": deep,
-                    "engine": self.engine,
-                    "verify_checksums": self.verify_checksums,
-                }
-                for target in targets
-            ],
-            prefer,
+        results, (hits, fallbacks) = verify_containers(
+            targets, deep, self.engine, self.verify_checksums, workers, prefer
         )
-        hits, fallbacks = count_placement(prefer, runs)
         with self._lock:
             self.placement_hits += hits
             self.placement_fallbacks += fallbacks
-        results = [result for result, _node in runs]
+        if strict and self.kind == "plain" and not results[0]["ok"]:
+            raise_verify_failure(results[0])
 
         by_shard: Dict[int, List[Tuple[str, Dict]]] = {}
         for (shard, name), result in zip(copy_names, results):
@@ -1034,7 +995,7 @@ class ShardedArchiveReader:
             healthy = [(name, res) for name, res in copies if res["ok"]]
             for name, res in copies:
                 if not res["ok"]:
-                    failures[name] = res["error"]
+                    failures[name] = f"{res['error']}: {res['message']}"
             if healthy:
                 # The authoritative copy: most frames wins (appends are
                 # monotone), primary wins ties.  Valid-but-diverged

@@ -123,70 +123,53 @@ def _decompress(payload: Dict) -> Dict:
     return {"items": frames, "stats": stats}
 
 
-def _verify_copy(payload: Dict) -> Dict:
-    """Kind ``verify_copy``: verify one archive container, mapping any
-    damage to a failure record ``{"ok": False, "error": ...}``.
+def _verify_container(payload: Dict) -> Dict:
+    """Kind ``verify_container``: verify part ``part`` of ``parts`` of one
+    archive container — its frames ``part::parts`` in container order, so
+    one container can spread over several jobs (``parts=1`` is all of it).
 
     ``target`` is a path (the worker must see the same filesystem) or,
-    inline only, a storage backend.  Besides the totals, a healthy copy
-    reports a ``digest`` — CRC-32 over its sorted (frame name, payload
-    CRC) pairs, free from the index alone — so the set-level verify can
-    detect copies that are individually valid but *diverged* from their
-    siblings (e.g. a replica left stale by a writer killed between copy
-    finalisations).
+    inline only, a storage backend.  A healthy part reports the container's
+    ``frames`` count, its own ``payload_bytes`` and a ``digest`` — CRC-32
+    over the container's sorted (frame name, payload CRC) pairs, free from
+    the index alone — so a set-level verify can detect copies that are
+    individually valid but *diverged* from their siblings (e.g. a replica
+    left stale by a writer killed between copy finalisations).  Archive
+    damage comes back as a failure record ``{"ok": False, "index",
+    "error", "message"}`` — the part's first damaged frame (``-1`` when the
+    container does not open), the error's class name and message — so
+    every transport reports exactly what the serial path raises.
     """
     from ..archive.format import ArchiveError, crc32
     from ..archive.reader import ArchiveReader
 
+    index = -1
     try:
         with ArchiveReader(
             payload["target"],
             engine=payload["engine"],
             verify_checksums=payload["verify_checksums"],
         ) as reader:
-            report = reader.verify(deep=payload["deep"])
+            payload_bytes = 0
+            for entry in reader.frames[payload["part"] :: payload["parts"]]:
+                index = entry.index
+                payload_bytes += reader.verify_frame(entry, payload["deep"])
             digest_src = "\n".join(
                 f"{e.name}:{e.crc32:08x}" for e in sorted(reader.frames, key=lambda e: e.name)
             )
             return {
                 "ok": True,
-                "frames": report["frames"],
-                "payload_bytes": report["payload_bytes"],
+                "frames": len(reader),
+                "payload_bytes": payload_bytes,
                 "digest": crc32(digest_src.encode("utf-8")),
             }
     except (ArchiveError, OSError) as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _verify_frames(payload: Dict) -> Dict:
-    """Kind ``verify_frames``: verify a frame shard of one archive by path.
-
-    Archive damage comes back as a failure record ``{"ok": False, "index",
-    "error", "message"}`` — the shard's first damaged frame, the error's
-    class name and message — so every transport can raise exactly what the
-    serial path raises; any other failure stays a job error.
-    """
-    from ..archive.format import ArchiveError
-    from ..archive.reader import ArchiveReader
-
-    index = -1
-    try:
-        with ArchiveReader(
-            payload["path"],
-            engine=payload["engine"],
-            verify_checksums=payload["verify_checksums"],
-        ) as reader:
-            payload_bytes = 0
-            for index in payload["indices"]:
-                payload_bytes += reader.verify_frame(reader.frames[index], payload["deep"])
-    except ArchiveError as exc:
         return {
             "ok": False,
             "index": index,
             "error": type(exc).__name__,
             "message": str(exc),
         }
-    return {"ok": True, "payload_bytes": payload_bytes}
 
 
 def _echo(payload):
@@ -200,8 +183,7 @@ def _echo(payload):
 JOBS: Dict[str, Callable] = {
     "compress": _compress,
     "decompress": _decompress,
-    "verify_copy": _verify_copy,
-    "verify_frames": _verify_frames,
+    "verify_container": _verify_container,
     "echo": _echo,
 }
 

@@ -375,7 +375,8 @@ class TestOpenArchive:
         with open_archive(sharded) as reader:
             assert isinstance(reader, ShardedArchiveReader)
         with open_archive(plain) as reader:
-            assert isinstance(reader, ArchiveReader)
+            assert isinstance(reader, ShardedArchiveReader)
+            assert reader.kind == "plain" and reader.shard_count == 1
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises((ArchiveFormatError, FileNotFoundError)):

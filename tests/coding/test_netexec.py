@@ -198,10 +198,10 @@ class TestTransportParity:
                 {"spec": spec, "items": streams[:3]},
                 {"spec": spec, "items": streams[3:]},
             ],
-            "verify_copy": [{"target": str(path), **check}] * 2,
-            "verify_frames": [
-                {"path": str(path), "indices": [0, 2, 4], **check},
-                {"path": str(path), "indices": [1, 3, 5], **check},
+            "verify_container": [
+                {"target": str(path), "part": 0, "parts": 1, **check},
+                {"target": str(path), "part": 0, "parts": 2, **check},
+                {"target": str(path), "part": 1, "parts": 2, **check},
             ],
             "echo": [{"x": 1}, [2, 3]],
         }
@@ -377,7 +377,7 @@ class TestWorkerRpc:
         with WorkerClient(addresses[0]) as client:
             assert client.node == "node0"
             assert client.worker_pid == os.getpid()
-            for kind in ("compress", "decompress", "verify_copy", "verify_frames"):
+            for kind in ("compress", "decompress", "verify_container"):
                 assert kind in client.capabilities
 
     def test_echo_roundtrip(self, addresses):
