@@ -6,7 +6,8 @@ codec hot path is visible from PR to PR.  Each test times the fast path with
 pytest-benchmark and writes a JSON record (including the measured speedup
 over the ``*_scalar`` reference implementation, the planar Rice block's
 decode speedup over the legacy interleaved block, and the frame-batched
-pyramid encode against a per-block loop) to ``benchmarks/reports/``.
+pyramid encode and decode against per-block loops) to
+``benchmarks/reports/``.
 """
 
 import time
@@ -18,6 +19,7 @@ from repro.coding.fastbits import pack_bits, pack_uint_fields, unpack_bits
 from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import (
     rice_decode_array,
+    rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode,
     rice_encode_planar,
@@ -204,3 +206,30 @@ def test_pyramid_encode_throughput(save_json_record):
             "speedup": loop_s / batched_s,
         }
     save_json_record("coding_engine_rice_pyramid", record)
+
+
+def test_pyramid_decode_throughput(save_json_record):
+    """One batched planar Rice decode per pyramid against a per-block loop.
+
+    A record only, with no timing gate: the ratio swings with host load.
+    """
+    record = {}
+    for name, blocks in _pyramid_blocks().items():
+        payloads = rice_encode_planar_blocks(blocks)
+        loop_out, loop_s, batched_out, batched_s = _compare_timings(
+            lambda payloads: [rice_decode_array(payload) for payload in payloads],
+            rice_decode_planar_blocks,
+            payloads,
+            repeats=15,
+        )
+        for loop_block, batched_block, block in zip(loop_out, batched_out, blocks):
+            assert np.array_equal(batched_block, loop_block)
+            assert np.array_equal(batched_block, block)
+        record[name] = {
+            "blocks": len(blocks),
+            "symbols": sum(block.size for block in blocks),
+            "loop_seconds": loop_s,
+            "batched_seconds": batched_s,
+            "speedup": loop_s / batched_s,
+        }
+    save_json_record("coding_engine_rice_pyramid_decode", record)

@@ -616,7 +616,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # strict=False: scan every copy and report, instead of raising at
         # the first damaged one — damage is isolated, not contagious.
         report = reader.verify(deep=args.deep, workers=args.workers, strict=False)
-        across = "" if reader.kind == "plain" else f" across {report['shards']} shards"
+        plain = reader.kind == "plain"
     failures = report["failures"]
     damaged = sorted(
         name for name, status in report["shard_status"].items() if status == "damaged"
@@ -639,6 +639,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         )
         return 1 if damaged else 0
+    if failures and plain:
+        (error,) = failures.values()
+        print(f"error: {error}", file=sys.stderr)
+        print(f"{args.archive}: DAMAGED ({mode})")
+        return 1
     if failures:
         for copy_name, error in sorted(failures.items()):
             print(f"error: shard {copy_name}: {error}", file=sys.stderr)
@@ -648,6 +653,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"verified clean ({mode})"
         )
         return 1
+    across = "" if plain else f" across {report['shards']} shards"
     print(
         f"{args.archive}: OK — {report['frames']} frames{across}, "
         f"{report['payload_bytes']} payload bytes verified ({mode})"

@@ -109,12 +109,15 @@ def verify_containers(
     verify_checksums: bool,
     workers,
     prefer: Optional[Sequence[Optional[str]]] = None,
+    frames: Optional[int] = None,
 ) -> Tuple[List[Dict], Tuple[int, int]]:
     """Verify whole containers as ``verify_container`` jobs on the executor
     ``workers`` names, each split into ``width // len(targets)`` index parts
-    when the executor is wider than the container count.  Paths may leave
-    this process; backends force the inline executor.  ``prefer`` names a
-    preferred node per container.
+    when the executor is wider than the container count.  A caller that
+    knows the most ``frames`` any container holds passes it, and the parts
+    are capped there, so no job opens a container only to verify nothing.
+    Paths may leave this process; backends force the inline executor.
+    ``prefer`` names a preferred node per container.
 
     Returns one merged result per container — a damaged one reports its
     lowest failing frame, where the serial path stops — and the run's
@@ -124,7 +127,10 @@ def verify_containers(
     jobs = [str(t) if isinstance(t, (str, Path)) else t for t in targets]
     if any(not isinstance(target, str) for target in jobs):
         executor = make_executor(1)  # backends cannot leave this process
-    parts = max(1, executor.width() // len(jobs))
+    parts = executor.width() // len(jobs)
+    if frames is not None:
+        parts = min(parts, frames)
+    parts = max(1, parts)
     prefer = [node for node in prefer or [None] * len(jobs) for _ in range(parts)]
     runs = executor.run(
         "verify_container",
@@ -604,7 +610,12 @@ class ArchiveReader(_ReaderHelpers):
             payload_bytes = sum(self.verify_frame(entry, deep) for entry in self.frames)
         else:
             (result,), _placement = verify_containers(
-                [self.backend.path], deep, self.engine, self.verify_checksums, workers
+                [self.backend.path],
+                deep,
+                self.engine,
+                self.verify_checksums,
+                workers,
+                frames=len(self.frames),
             )
             if not result["ok"]:
                 raise_verify_failure(result)

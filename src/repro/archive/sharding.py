@@ -975,7 +975,14 @@ class ShardedArchiveReader(_ReaderHelpers):
         placement = self.manifest.placement
         prefer = [placement.get(self.manifest.shard_names[shard]) for shard, _ in copy_names]
         results, (hits, fallbacks) = verify_containers(
-            targets, deep, self.engine, self.verify_checksums, workers, prefer
+            targets,
+            deep,
+            self.engine,
+            self.verify_checksums,
+            workers,
+            prefer,
+            # A plain container is open already; a set's shards may not be.
+            frames=len(self) if self.kind == "plain" else None,
         )
         with self._lock:
             self.placement_hits += hits

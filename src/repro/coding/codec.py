@@ -29,7 +29,7 @@ filter-bank transform with a reversible integer (lifting) transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..fixedpoint.wordlength import WordLengthPlan, plan_word_lengths
 from ..fxdwt.transform import FixedPointDWT, FixedPointPyramid
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
-    rice_decode_array,
+    rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode_planar_blocks,
     rice_encode_planar_scalar,
@@ -233,17 +233,9 @@ class LosslessWaveletCodec:
     def decode_pyramid(self, compressed: CompressedImage) -> FixedPointPyramid:
         """Entropy decode a stream back into a fixed-point pyramid."""
         self._check_stream_config(compressed)
-        approximation = self._decode_band(compressed.chunk("HH", self.scales))
-        details: List[ScaleDetails] = []
-        for scale in range(1, self.scales + 1):
-            details.append(
-                ScaleDetails(
-                    scale=scale,
-                    hg=self._decode_band(compressed.chunk("HG", scale)),
-                    gh=self._decode_band(compressed.chunk("GH", scale)),
-                    gg=self._decode_band(compressed.chunk("GG", scale)),
-                )
-            )
+        approximation, details = self._decode_bands(
+            compressed, range(1, self.scales + 1)
+        )
         return FixedPointPyramid(
             plan=self.plan, approximation=approximation, details=details
         )
@@ -264,10 +256,18 @@ class LosslessWaveletCodec:
             return [rice_encode_planar_scalar(block) for block in blocks]
         return rice_encode_planar_blocks(blocks)
 
-    def _rice_decode(self, payload: bytes) -> np.ndarray:
+    def _rice_decode_blocks(self, payloads: List[bytes]) -> Iterator[np.ndarray]:
+        """The decoded blocks in order.  The scalar tier decodes each one as
+        it is taken; the fast tier decodes the frame in one batch and drops
+        each block once taken, so a batch's output is freed with its last
+        band and the decode peaks near one copy of the frame, not two."""
         if self.engine == "scalar":
-            return np.asarray(rice_decode_scalar(payload), dtype=np.int64)
-        return rice_decode_array(payload)
+            for payload in payloads:
+                yield np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+            return
+        blocks = rice_decode_planar_blocks(payloads)[::-1]
+        while blocks:
+            yield blocks.pop()
 
     def _band_blocks(self, band: np.ndarray, use_rle: bool) -> List[np.ndarray]:
         """The Rice blocks of one band: its symbols, or literals then runs."""
@@ -318,15 +318,10 @@ class LosslessWaveletCodec:
             raise ValueError(
                 f"at_scale must be within [0, {self.scales}], got {at_scale}"
             )
-        approximation = self._decode_band(compressed.chunk("HH", self.scales))
-        details: List[Optional[ScaleDetails]] = [None] * self.scales
-        for scale in range(at_scale + 1, self.scales + 1):
-            details[scale - 1] = ScaleDetails(
-                scale=scale,
-                hg=self._decode_band(compressed.chunk("HG", scale)),
-                gh=self._decode_band(compressed.chunk("GH", scale)),
-                gg=self._decode_band(compressed.chunk("GG", scale)),
-            )
+        approximation, decoded = self._decode_bands(
+            compressed, range(at_scale + 1, self.scales + 1)
+        )
+        details: List[Optional[ScaleDetails]] = [None] * at_scale + decoded
         pyramid = FixedPointPyramid(
             plan=self.plan, approximation=approximation, details=details
         )
@@ -342,10 +337,48 @@ class LosslessWaveletCodec:
         """
         return self.transform.inverse_roi(self.decode_pyramid(compressed), y0, y1)
 
-    def _decode_band(self, chunk: SubbandChunk) -> np.ndarray:
+    def _decode_bands(
+        self, compressed: CompressedImage, scales: Sequence[int]
+    ) -> Tuple[np.ndarray, List[ScaleDetails]]:
+        """The approximation and the detail bands of ``scales``.
+
+        Every Rice block they need (each band's literals, then its run
+        stream if it is RLE coded) is decoded in one batch, as
+        :meth:`encode_pyramid` codes them.
+        """
+        chunks = [compressed.chunk("HH", self.scales)] + [
+            compressed.chunk(kind, scale)
+            for scale in scales
+            for kind in ("HG", "GH", "GG")
+        ]
+        payloads: List[bytes] = []
+        for chunk in chunks:
+            payloads.append(chunk.payload)
+            if chunk.use_rle:
+                payloads.append(chunk.run_payload)
+        symbols = self._rice_decode_blocks(payloads)
+        bands = iter(
+            [
+                self._band(chunk, next(symbols), next(symbols) if chunk.use_rle else None)
+                for chunk in chunks
+            ]
+        )
+        approximation = next(bands)
+        details = [
+            ScaleDetails(scale=scale, hg=next(bands), gh=next(bands), gg=next(bands))
+            for scale in scales
+        ]
+        return approximation, details
+
+    def _band(
+        self,
+        chunk: SubbandChunk,
+        symbols: np.ndarray,
+        run_symbols: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """One band from its decoded literal symbols and run stream."""
         if chunk.use_rle:
-            run_symbols = self._rice_decode(chunk.run_payload)
-            literals = zigzag_decode(self._rice_decode(chunk.payload))
+            literals = zigzag_decode(symbols)
             check_rle_size(run_symbols, literals.size, chunk.shape[0] * chunk.shape[1])
             if self.engine != "scalar":
                 flat = rle_decode_arrays(run_symbols, literals)
@@ -360,7 +393,7 @@ class LosslessWaveletCodec:
                         literal_index += 1
                 flat = rle_decode(events)
         else:
-            flat = zigzag_decode(self._rice_decode(chunk.payload))
+            flat = zigzag_decode(symbols)
         return np.asarray(flat, dtype=np.int64).reshape(chunk.shape)
 
     # -- convenience -----------------------------------------------------------------------

@@ -24,7 +24,10 @@ bit 7 of the first byte:
   a frame in one batch: one parameter search, one remainder pass per
   distinct ``k``, one unary pass), its one-block form
   :func:`rice_encode_planar`, and :func:`rice_encode_planar_scalar`
-  (bit-by-bit reference, one block at a time).
+  (bit-by-bit reference, one block at a time).  Read back by its mirror
+  :func:`rice_decode_planar_blocks` (one unary pass, one ``diff`` and one
+  remainder pass per distinct ``k`` over a frame's blocks, each block
+  confined to its own plane's zeros).
 * **interleaved** (read-only legacy) —
   ``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``,
   each code's unary quotient directly followed by its remainder.
@@ -32,9 +35,9 @@ bit 7 of the first byte:
   pinned golden vectors and the read-compat tests can reproduce archives
   written before the planar layout existed.
 
-Every decoder — :func:`rice_decode_array` / :func:`rice_decode` (vectorised)
-and :func:`rice_decode_scalar` (bit-by-bit reference) — accepts both
-layouts.  The vectorised interleaved decode resolves the "where does the
+Every decoder — :func:`rice_decode_planar_blocks` and its one-block calls
+:func:`rice_decode_array` / :func:`rice_decode` (vectorised), and
+:func:`rice_decode_scalar` (bit-by-bit reference) — accepts both layouts.  The vectorised interleaved decode resolves the "where does the
 next code start" dependency by pointer doubling over the stream's zero
 positions (:func:`~repro.coding.fastbits.orbit`).  The fast and scalar
 encoders of each layout produce **byte-identical** streams.
@@ -66,6 +69,7 @@ __all__ = [
     "rice_encode_planar_scalar",
     "rice_decode",
     "rice_decode_array",
+    "rice_decode_planar_blocks",
     "rice_encode_scalar",
     "rice_decode_scalar",
     "is_planar_block",
@@ -82,6 +86,12 @@ MAX_RICE_PARAMETER = 30
 PLANAR_FLAG = 0x80
 #: Bytes of the ``k | count`` header shared by both layouts.
 _HEADER_BYTES = 5
+#: Symbols decoded per batch by :func:`rice_decode_planar_blocks`.  A
+#: batch's working set (about 40 bytes a symbol) then stays in cache and in
+#: memory the allocator reuses: one batch for a whole 512x512 frame
+#: (262144 symbols) page-faulted ~1000 times a call and ran slower than a
+#: per-block loop, while 128x128 and 256x256 frames fit in one batch.
+_BATCH_SYMBOLS = 1 << 16
 
 
 def _check_parameter(k: int) -> None:
@@ -280,19 +290,39 @@ def _pack_remainder_groups(fields: np.ndarray, k: int) -> np.ndarray:
     return plane
 
 
-def _unpack_remainders(plane: np.ndarray, count: int, k: int) -> np.ndarray:
-    """Inverse of :func:`_pack_remainders` (``plane`` holds whole bytes)."""
-    groups = -(-count // 8)
-    padded = np.zeros(groups * k, dtype=np.uint8)
-    padded[: plane.size] = plane
-    fields = np.empty((groups, 8), dtype=np.int64)
-    mask = np.uint64((1 << k) - 1)
-    for column, (first, bit, width) in enumerate(_remainder_columns(k)):
-        window = padded[first::k].astype(np.uint64)
-        for i in range(1, width):
-            window = (window << np.uint64(8)) | padded[first + i :: k]
-        fields[:, column] = (window >> np.uint64(8 * width - k - bit)) & mask
-    return fields.reshape(-1)[:count]
+def _remainder_word(k: int):
+    """The narrowest unsigned word that holds a ``k``-bit field at any bit
+    offset (``k + 7`` bits)."""
+    return np.uint16 if k <= 9 else np.uint32 if k <= 25 else np.uint64
+
+
+def _unpack_remainder_groups(plane: np.ndarray, groups: int, k: int) -> np.ndarray:
+    """Inverse of :func:`_pack_remainder_groups`, flattened group by group.
+
+    ``plane`` holds ``groups`` whole groups (``k`` bytes each) and then at
+    least eight bytes of slack.  A field and its bit offset fit one
+    big-endian :func:`_remainder_word` read at the field's first byte, so
+    column ``j`` is a single strided read of those words, ``k`` bytes
+    apart, and one shift per column then aligns all eight at once.
+    """
+    word = np.dtype(_remainder_word(k))
+    fields = np.empty((groups, 8), dtype=word)
+    if not groups:
+        return fields.reshape(-1)
+    columns = _remainder_columns(k)
+    for column, (first, _, _) in enumerate(columns):
+        fields[:, column] = np.ndarray(
+            (groups,),
+            dtype=word.newbyteorder(">"),
+            buffer=plane,
+            offset=first,
+            strides=(k,),
+        )
+    fields >>= np.array(
+        [8 * word.itemsize - k - bit for _, bit, _ in columns], dtype=word
+    )
+    fields &= (1 << k) - 1
+    return fields.reshape(-1)
 
 
 def _remainder_planes(
@@ -308,9 +338,7 @@ def _remainder_planes(
     for k in sorted(set(ks) - {0}):
         members = [b for b, kb in enumerate(ks) if kb == k]
         groups = [-(-(bounds[b][1] - bounds[b][0]) // 8) for b in members]
-        # The narrowest word that holds a field at any bit offset.
-        word = np.uint16 if k <= 9 else np.uint32 if k <= 25 else np.uint64
-        fields = np.zeros(8 * sum(groups), dtype=word)
+        fields = np.zeros(8 * sum(groups), dtype=_remainder_word(k))
         offset = 0
         for b, group in zip(members, groups):
             start, stop = bounds[b]
@@ -435,17 +463,150 @@ def _planar_header(raw: np.ndarray) -> Tuple[int, int, int]:
     return k, count, remainder_end
 
 
-def _decode_planar(raw: np.ndarray) -> np.ndarray:
-    """Vectorised planar decode: quotient ends are the unary plane's zeros."""
-    k, count, remainder_end = _planar_header(raw)
-    terminators = np.flatnonzero(np.unpackbits(raw[remainder_end:]) == 0)[:count]
-    if terminators.size < count:
-        raise EOFError("bitstream exhausted")
-    quotients = np.diff(terminators, prepend=-1) - 1
-    if k == 0:
-        return quotients
-    remainders = _unpack_remainders(raw[_HEADER_BYTES:remainder_end], count, k)
-    return (quotients << k) | remainders
+def _unary_terminators(
+    planes: List[np.ndarray], counts: List[int]
+) -> Tuple[np.ndarray, List[int]]:
+    """Every planar block's quotient terminators, block after block.
+
+    One ``unpackbits`` + ``flatnonzero`` finds the zeros of all unary
+    ``planes`` laid end to end (each starts on a byte).  Block ``b`` owns
+    only the zeros inside its own plane, found by ``searchsorted`` on the
+    plane edges, and its ``counts[b]`` symbols end at the first
+    ``counts[b]`` of them: a block that declares more symbols than its
+    plane holds zeros fails even when the next plane has zeros to spare.
+    Returns the terminator bit positions and each plane's first bit.
+    """
+    edges = [0, *accumulate(8 * plane.size for plane in planes)]
+    # The zero bits of the planes are the one bits of their complement,
+    # read as booleans (the fast ``nonzero`` path).
+    bits = np.concatenate(planes)
+    zeros = np.flatnonzero(np.unpackbits(np.invert(bits, out=bits)).view(np.bool_))
+    firsts = np.searchsorted(zeros, edges).tolist()
+    for count, first, stop in zip(counts, firsts, firsts[1:]):
+        if count > stop - first:
+            raise EOFError(
+                f"planar Rice block declares {count} symbols but its unary "
+                f"plane holds only {stop - first} terminators"
+            )
+    terminators = np.concatenate(
+        [zeros[first : first + count] for first, count in zip(firsts, counts)]
+    )
+    return terminators, edges[:-1]
+
+
+def _add_remainders(
+    out: np.ndarray,
+    bounds: List[Tuple[int, int]],
+    ks: List[int],
+    planes: List[np.ndarray],
+) -> None:
+    """``out[start:stop] = out[start:stop] << k | remainders`` per block.
+
+    The remainder ``planes`` sharing a ``k`` are laid end to end, each
+    zero-padded to whole groups of eight fields, and unpacked in one
+    column pass (:func:`_unpack_remainder_groups`), so block ``b``'s
+    fields start at ``8 *`` the groups before it.
+    """
+    for k in sorted(set(ks) - {0}):
+        members = [b for b, kb in enumerate(ks) if kb == k]
+        groups = [-(-(bounds[b][1] - bounds[b][0]) // 8) for b in members]
+        padded = np.zeros(k * sum(groups) + 8, dtype=np.uint8)
+        offset = 0
+        for b, group in zip(members, groups):
+            padded[offset : offset + planes[b].size] = planes[b]
+            offset += k * group
+        fields = _unpack_remainder_groups(padded, sum(groups), k)
+        offset = 0
+        for b, group in zip(members, groups):
+            start, stop = bounds[b]
+            block = out[start:stop]
+            block <<= k
+            # A uint64 word needs the unsafe cast: its fields are < 2**30.
+            np.bitwise_or(
+                block,
+                fields[offset : offset + stop - start],
+                out=block,
+                dtype=np.int64,
+                casting="unsafe",
+            )
+            offset += 8 * group
+
+
+def _decode_planar_batch(
+    raws: List[np.ndarray], headers: List[Tuple[int, int, int]]
+) -> List[np.ndarray]:
+    """Decode planar blocks whose headers passed :func:`_planar_header`.
+
+    One unary pass over all planes (:func:`_unary_terminators`) and one
+    ``diff`` write every quotient straight into one ``int64`` output, whose
+    block slices are the results; one column pass per distinct ``k``
+    (:func:`_add_remainders`) then adds the remainders.
+    """
+    counts = [count for _, count, _ in headers]
+    bounds = _block_bounds(counts)
+    out = np.empty(sum(counts), dtype=np.int64)
+    filled = [b for b, count in enumerate(counts) if count]
+    if filled:
+        raws = [raws[b] for b in filled]
+        headers = [headers[b] for b in filled]
+        terminators, plane_starts = _unary_terminators(
+            [raw[end:] for raw, (_, _, end) in zip(raws, headers)],
+            [counts[b] for b in filled],
+        )
+        np.subtract(terminators[1:], terminators[:-1], out=out[1:])
+        out -= 1
+        # Each block's first quotient counts from its own plane's first bit.
+        firsts = np.asarray([bounds[b][0] for b in filled])
+        out[firsts] = terminators[firsts] - np.asarray(plane_starts)
+        _add_remainders(
+            out,
+            [bounds[b] for b in filled],
+            [k for k, _, _ in headers],
+            [raw[_HEADER_BYTES:end] for raw, (_, _, end) in zip(raws, headers)],
+        )
+    return [out[start:stop] for start, stop in bounds]
+
+
+def _batches(counts: Sequence[int]) -> List[List[int]]:
+    """Runs of consecutive block indices holding at most
+    :data:`_BATCH_SYMBOLS` symbols each (a larger block makes a run of its
+    own)."""
+    batches: List[List[int]] = []
+    total = 0
+    for b, count in enumerate(counts):
+        if not batches or total + count > _BATCH_SYMBOLS:
+            batches.append([])
+            total = 0
+        batches[-1].append(b)
+        total += count
+    return batches
+
+
+def rice_decode_planar_blocks(payloads) -> List[np.ndarray]:
+    """Decode every Rice block of a frame, batching the planar ones.
+
+    The mirror of :func:`rice_encode_planar_blocks`: equal, block by block,
+    to decoding each payload on its own, with the fixed costs paid once
+    per batch.  Every planar header is checked (:func:`_planar_header`)
+    before anything is sized from it.  Consecutive planar blocks are then
+    decoded in batches of up to :data:`_BATCH_SYMBOLS` symbols
+    (:func:`_decode_planar_batch`).  A legacy interleaved block is decoded
+    on its own.
+    """
+    payloads = list(payloads)
+    raws = [np.frombuffer(payload, dtype=np.uint8) for payload in payloads]
+    planar = [b for b, raw in enumerate(raws) if is_planar_block(raw)]
+    headers = [_planar_header(raws[b]) for b in planar]
+    decoded = {}
+    for batch in _batches([count for _, count, _ in headers]):
+        blocks = _decode_planar_batch(
+            [raws[planar[i]] for i in batch], [headers[i] for i in batch]
+        )
+        decoded.update(zip((planar[i] for i in batch), blocks))
+    return [
+        decoded[b] if b in decoded else _decode_interleaved(payload)
+        for b, payload in enumerate(payloads)
+    ]
 
 
 def is_planar_block(data) -> bool:
@@ -570,13 +731,11 @@ def _decode_interleaved(data) -> np.ndarray:
 def rice_decode_array(data) -> np.ndarray:
     """Decode a block of either layout to an ``int64`` array.
 
-    The flag bit of the first byte picks the planar or the interleaved
+    The one-block call of :func:`rice_decode_planar_blocks`, which reads
+    the flag bit of the first byte to pick the planar or the interleaved
     path.  Accepts ``bytes`` or ``memoryview`` input.
     """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if is_planar_block(raw):
-        return _decode_planar(raw)
-    return _decode_interleaved(data)
+    return rice_decode_planar_blocks([data])[0]
 
 
 def rice_decode(data) -> List[int]:

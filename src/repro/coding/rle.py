@@ -116,11 +116,15 @@ def rle_encode_arrays(
     :func:`rle_encode` emits them: a positive value is a zero run of that
     length, a zero marks the next literal (a literal of value 0 never occurs,
     zeros always join runs).  ``literal_values`` are the signed literals in
-    order.
+    order.  A zero-free ``values`` (the coefficient codec's detail bands of
+    a CT slice, whose coefficients keep their fractional bits) is one
+    literal marker per value, returned without the run bookkeeping.
     """
     if max_run < 1:
         raise ValueError("max_run must be >= 1")
     x = np.asarray(values, dtype=np.int64).ravel()
+    if x.all():
+        return np.zeros(x.size, dtype=np.int64), x.copy()
     nonzero = np.flatnonzero(x)
     literals = x[nonzero]
     # Zeros before each literal, and after the last one.
@@ -144,10 +148,20 @@ def rle_encode_arrays(
 
 
 def rle_decode_arrays(run_symbols: np.ndarray, literal_values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_encode_arrays`."""
+    """Inverse of :func:`rle_encode_arrays`.
+
+    A run stream of literal markers only (a zero-free band) decodes to the
+    literals themselves, once their count matches the markers.
+    """
     runs = np.asarray(run_symbols, dtype=np.int64).ravel()
     literals = np.asarray(literal_values, dtype=np.int64).ravel()
-    if runs.size and int(runs.min()) < 0:
+    if not runs.any():
+        if runs.size != literals.size:
+            raise ValueError(
+                f"run stream expects {runs.size} literals, got {literals.size}"
+            )
+        return literals.copy()
+    if int(runs.min()) < 0:
         raise ValueError("zero runs must have length >= 1")
     lengths = np.where(runs > 0, runs, 1)
     ends = np.cumsum(lengths)

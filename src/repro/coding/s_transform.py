@@ -26,14 +26,14 @@ number is derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dwt.subbands import check_band_shapes
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
-    rice_decode_array,
+    rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode_planar_blocks,
     rice_encode_planar_scalar,
@@ -290,12 +290,9 @@ class STransformCodec:
     def decode_pyramid(self, compressed: CompressedSImage) -> STransformPyramid:
         """Entropy decode a stream back into a subband pyramid."""
         self._check_stream_config(compressed)
-        approximation = self._get_band(compressed, "HH", self.scales)
-        details: List[Dict[str, np.ndarray]] = []
-        for scale in range(1, self.scales + 1):
-            details.append(
-                {kind: self._get_band(compressed, kind, scale) for kind in ("HG", "GH", "GG")}
-            )
+        approximation, details = self._decode_bands(
+            compressed, range(1, self.scales + 1)
+        )
         return STransformPyramid(approximation=approximation, details=details)
 
     def inverse_transform(self, pyramid: STransformPyramid) -> np.ndarray:
@@ -327,12 +324,11 @@ class STransformCodec:
             raise ValueError(
                 f"at_scale must be within [0, {self.scales}], got {at_scale}"
             )
-        data = self._get_band(compressed, "HH", self.scales)
-        for scale in range(self.scales, at_scale, -1):
-            bands = [
-                self._get_band(compressed, kind, scale) for kind in ("HG", "GH", "GG")
-            ]
-            data = _inverse_scale(data, *bands)
+        data, details = self._decode_bands(
+            compressed, range(self.scales, at_scale, -1)
+        )
+        for bands in details:
+            data = _inverse_scale(data, bands["HG"], bands["GH"], bands["GG"])
         return data
 
     def decode_roi(self, compressed: CompressedSImage, y0: int, y1: int) -> np.ndarray:
@@ -367,16 +363,41 @@ class STransformCodec:
             return [rice_encode_planar_scalar(block) for block in blocks]
         return rice_encode_planar_blocks(blocks)
 
-    def _get_band(
-        self, compressed: CompressedSImage, kind: str, scale: int
-    ) -> np.ndarray:
-        try:
-            payload = compressed.chunks[(kind, scale)]
-            shape = compressed.shapes[(kind, scale)]
-        except KeyError as exc:
-            raise KeyError(f"compressed stream has no subband {kind}@{scale}") from exc
+    def _rice_decode_blocks(self, payloads: List[bytes]) -> Iterator[np.ndarray]:
+        """The decoded blocks in order.  The scalar tier decodes each one as
+        it is taken; the fast tier decodes the frame in one batch and drops
+        each block once taken, so a batch's output is freed with its last
+        band and the decode peaks near one copy of the frame, not two."""
         if self.engine == "scalar":
-            symbols = np.asarray(rice_decode_scalar(payload), dtype=np.int64)
-        else:
-            symbols = rice_decode_array(payload)
-        return zigzag_decode(symbols).reshape(shape)
+            for payload in payloads:
+                yield np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+            return
+        blocks = rice_decode_planar_blocks(payloads)[::-1]
+        while blocks:
+            yield blocks.pop()
+
+    def _decode_bands(
+        self, compressed: CompressedSImage, scales: Sequence[int]
+    ) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
+        """The approximation and the detail bands of ``scales`` (in that
+        order), their Rice blocks decoded in one batch."""
+        keys = [("HH", self.scales)] + [
+            (kind, scale) for scale in scales for kind in ("HG", "GH", "GG")
+        ]
+        try:
+            payloads = [compressed.chunks[key] for key in keys]
+            shapes = [compressed.shapes[key] for key in keys]
+        except KeyError as exc:
+            kind, scale = exc.args[0]
+            raise KeyError(f"compressed stream has no subband {kind}@{scale}") from exc
+        bands = iter(
+            [
+                zigzag_decode(symbols).reshape(shape)
+                for symbols, shape in zip(self._rice_decode_blocks(payloads), shapes)
+            ]
+        )
+        approximation = next(bands)
+        details = [
+            {kind: next(bands) for kind in ("HG", "GH", "GG")} for _ in scales
+        ]
+        return approximation, details

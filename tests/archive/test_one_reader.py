@@ -20,6 +20,7 @@ import pytest
 from repro.archive import (
     ArchiveFormatError,
     ArchiveIntegrityError,
+    ArchiveReader,
     ArchiveWriter,
     MemoryBackend,
     ReplicatedShardSet,
@@ -172,6 +173,62 @@ class TestPlainOneShardView:
         assert main(["verify", str(path), "--deep", "--workers", "2"]) == 0
         assert "OK — 3 frames," in capsys.readouterr().out
         assert calls == [("verify_container", 2)]
+
+    @pytest.mark.parametrize("entry_point", ["cli", "reader"])
+    def test_verify_workers_2_on_a_one_frame_archive_runs_one_job(
+        self, tmp_path, capsys, monkeypatch, entry_point
+    ):
+        """The parts are capped at the frame count: no job opens the
+        container only to verify nothing."""
+        path = plain_archive(tmp_path / "one.dwta", ["a"])
+        calls = []
+        run = ParallelExecutor.run
+
+        def spy(self, kind, payloads, prefer=None):
+            calls.append((kind, [(p["part"], p["parts"]) for p in payloads]))
+            return run(self, kind, payloads, prefer)
+
+        monkeypatch.setattr(ParallelExecutor, "run", spy)
+        if entry_point == "cli":
+            assert main(["verify", str(path), "--deep", "--workers", "2"]) == 0
+            assert "OK — 1 frames," in capsys.readouterr().out
+        else:
+            with ArchiveReader(path) as reader:
+                assert reader.verify(deep=True, workers=2)["frames"] == 1
+        assert calls == [("verify_container", [(0, 1)])]
+
+    def test_verify_workers_2_on_an_empty_archive_runs_one_job(self, tmp_path, monkeypatch):
+        path = tmp_path / "empty.dwta"
+        ArchiveWriter.create(path).close()
+        calls = []
+        run = ParallelExecutor.run
+
+        def spy(self, kind, payloads, prefer=None):
+            calls.append(len(payloads))
+            return run(self, kind, payloads, prefer)
+
+        monkeypatch.setattr(ParallelExecutor, "run", spy)
+        with open_archive(path) as reader:
+            assert reader.verify(workers=2)["frames"] == 0
+        assert calls == [1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cli_verify_names_a_damaged_plain_archive_plainly(
+        self, tmp_path, capsys, workers
+    ):
+        """A damaged plain container is not reported in set wording."""
+        path = plain_archive(tmp_path / "bad.dwta", ["a", "b"])
+        with open_archive(path) as reader:
+            entry = reader.find("b")
+        data = bytearray(path.read_bytes())
+        data[entry.offset + entry.length // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert main(["verify", str(path), "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{path}: DAMAGED (checksums)\n"
+        assert captured.err.startswith("error: ArchiveIntegrityError: ")
+        assert "frame 'b'" in captured.err
+        assert "shard" not in captured.out + captured.err
 
     def test_plain_strict_verify_raises_the_frame_error(self, tmp_path):
         path = plain_archive(tmp_path / "bad.dwta", ["a", "b"])
