@@ -45,8 +45,9 @@ can be located, checksummed and decoded without reading anything else:
 
 The on-disk formats — container and shard-set manifest — are defined byte
 for byte in :mod:`repro.archive.format` (and documented in
-``docs/archive_format.md``); frame payloads are framed through
-:mod:`repro.coding.bitstream` in :mod:`repro.archive.serialize`.
+``docs/archive_format.md``); frame payloads are (de)serialised in
+:mod:`repro.archive.serialize`, their meta blocks as fixed-width
+big-endian ``struct`` fields.
 A CLI front end runs the scenario end to end against real files::
 
     python -m repro.archive pack archive.dwta scans/*.pgm

@@ -8,8 +8,8 @@ stored it **frame-major**, a layout that is now read-only::
     +------------------+
     | meta_len  (u32)  |  little-endian, like every container structure
     +------------------+
-    | meta block       |  bit-packed through repro.coding.bitstream
-    +------------------+  (fields MSB-first, all widths byte multiples)
+    | meta block       |  fixed-width big-endian fields, packed with
+    +------------------+  struct (see _meta_prologue)
     | chunk bytes      |  entropy-coded subband payloads, concatenated in
     +------------------+  the order the meta block declares
 
@@ -69,13 +69,13 @@ import struct
 import zlib
 from dataclasses import dataclass
 from dataclasses import replace as _dc_replace
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from ..coding.bitstream import BitReader, BitWriter
 from ..coding.codec import CompressedImage, SubbandChunk
 from ..coding.s_transform import CompressedSImage
 from ..coding.spec import CodecSpec, UnknownCodecError, family_for_stream, get_family
 from ..filters.catalog import get_bank
+from ..fixedpoint.errors import FixedPointError
 from ..fixedpoint.wordlength import plan_word_lengths
 from .format import (
     CODEC_NAMES_BY_ID,
@@ -196,16 +196,25 @@ class SectionTable:
         return self.body_offset + sum(s.length for s in self.sections)
 
     def spec(self) -> CodecSpec:
-        """The :class:`CodecSpec` the table describes."""
-        if self.bank_name:
+        """The :class:`CodecSpec` the table describes; a table whose fields
+        form no valid configuration raises :class:`ArchiveFormatError`."""
+        try:
+            if self.bank_name:
+                return CodecSpec(
+                    codec=self.codec,
+                    scales=self.scales,
+                    bit_depth=self.bit_depth,
+                    bank=self.bank_name,
+                    use_rle=self.use_rle,
+                )
             return CodecSpec(
-                codec=self.codec,
-                scales=self.scales,
-                bit_depth=self.bit_depth,
-                bank=self.bank_name,
-                use_rle=self.use_rle,
+                codec=self.codec, scales=self.scales, bit_depth=self.bit_depth
             )
-        return CodecSpec(codec=self.codec, scales=self.scales, bit_depth=self.bit_depth)
+        except (ValueError, TypeError) as exc:
+            raise ArchiveFormatError(
+                f"frame payload metadata does not form a valid codec "
+                f"configuration ({exc})"
+            ) from exc
 
     def _check_scale(self, at_scale: int) -> None:
         if not 0 <= at_scale <= self.scales:
@@ -264,18 +273,124 @@ def frame_spec(entry: FrameInfo) -> CodecSpec:
         ) from exc
 
 
-def _write_ascii(writer: BitWriter, text: str, length_bits: int = 8) -> None:
-    data = text.encode("utf-8")
-    if len(data) >= (1 << length_bits):
-        raise ValueError(f"string {text!r} too long for a {length_bits}-bit length")
-    writer.write_uint(len(data), length_bits)
-    for byte in data:
-        writer.write_uint(byte, 8)
+# Meta-block fields are fixed-width, big-endian and unsigned.  The prologue
+# is a u8 codec id, then scales, rows, columns and bit depth (_PROLOGUE); a
+# filter-bank codec then stores its bank name (u8 length + UTF-8) and
+# word-length plan (u8 word length, u8 accumulator bits, one u8 of integer
+# bits per scale); the section or chunk count follows.  Descriptor layouts
+# are keyed by ``family.uses_bank``.
+_PROLOGUE = struct.Struct(">BIIB")
+_COUNT = struct.Struct(">H")
+#: Subband-major section descriptor: kind, scale, rows, columns,
+#: [use_rle], payload length, [run length], section CRC-32.
+_SECTION = {
+    False: struct.Struct(">BBIIII"),
+    True: struct.Struct(">BBIIBIII"),
+}
+#: Frame-major chunk descriptor: the section descriptor without its CRC.
+_CHUNK = {
+    False: struct.Struct(">BBIII"),
+    True: struct.Struct(">BBIIBII"),
+}
 
 
-def _read_ascii(reader: BitReader, length_bits: int = 8) -> str:
-    length = reader.read_uint(length_bits)
-    return bytes(reader.read_uint(8) for _ in range(length)).decode("utf-8")
+def _meta_prologue(spec: CodecSpec, image_shape: Tuple[int, int], count: int) -> bytes:
+    """The meta-block fields in front of the descriptors: the spec (and
+    the bank's word-length plan), the geometry and the descriptor count."""
+    family = spec.family
+    fields = [
+        bytes([family.wire_id]),
+        _PROLOGUE.pack(spec.scales, image_shape[0], image_shape[1], spec.bit_depth),
+    ]
+    if family.uses_bank:
+        name = spec.bank_name.encode("utf-8")
+        if len(name) > 0xFF:
+            raise ValueError(f"string {spec.bank_name!r} too long for an 8-bit length")
+        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
+        fields.append(
+            bytes(
+                [
+                    len(name),
+                    *name,
+                    plan.data_formats[1].word_length,
+                    plan.accumulator_bits,
+                    *plan.integer_bits(),
+                ]
+            )
+        )
+    fields.append(_COUNT.pack(count))
+    return b"".join(fields)
+
+
+class _MetaCursor:
+    """Bounded reads over a meta block.
+
+    Every read is checked against the bytes left before anything is
+    unpacked.  Running out means the payload was cut when the block holds
+    fewer bytes than its head declared (``complete=False``), and that the
+    block is malformed otherwise; ``where`` names the field group the
+    bytes end in (``None``: the section-table prologue).
+    """
+
+    __slots__ = ("data", "position", "complete")
+
+    def __init__(self, data: Payload, complete: bool = True) -> None:
+        self.data = data
+        self.position = 0
+        self.complete = complete
+
+    @property
+    def left(self) -> int:
+        return len(self.data) - self.position
+
+    def error(self, where: Optional[str] = None) -> ArchiveFormatError:
+        if self.complete:
+            suffix = f" at {where}" if where else ""
+            return ArchiveFormatError(f"frame payload meta block is malformed{suffix}")
+        return TruncatedArchiveError(
+            f"frame payload ends inside {where or 'its section-table prologue'}"
+        )
+
+    def take(self, length: int, where: Optional[str] = None) -> Payload:
+        start = self.position
+        if length > len(self.data) - start:
+            raise self.error(where)
+        self.position = start + length
+        return self.data[start : start + length]
+
+    def unpack(self, layout: struct.Struct, where: Optional[str] = None) -> tuple:
+        return layout.unpack(self.take(layout.size, where))
+
+    def count(self, descriptor: struct.Struct) -> int:
+        """The u16 descriptor count.  In a complete block it must fit the
+        bytes left, so no declared count drives the loop that reads the
+        descriptors; a cut block fails at the descriptor the bytes end in."""
+        (count,) = self.unpack(_COUNT)
+        if self.complete and count * descriptor.size > self.left:
+            raise ArchiveFormatError(
+                f"frame payload declares {count} {descriptor.size}-byte "
+                f"descriptors but its meta block holds {self.left} bytes for them"
+            )
+        return count
+
+    def text(self) -> str:
+        """A u8-length-prefixed UTF-8 string (a filter-bank name)."""
+        (length,) = self.take(1)
+        try:
+            return bytes(self.take(length)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveFormatError(
+                "frame payload names its filter bank in text that is not UTF-8"
+            ) from exc
+
+    def family(self):
+        """The codec family the prologue's first byte names."""
+        (codec_id,) = self.take(1)
+        if codec_id not in CODEC_NAMES_BY_ID:
+            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
+        # The name came from inverting the registry, so this lookup cannot
+        # miss; it just resolves the id to its family entry.
+        return get_family(CODEC_NAMES_BY_ID[codec_id])
 
 
 def _normalized_sections(stream: CompressedStream):
@@ -308,46 +423,30 @@ def serialize_stream(stream: CompressedStream) -> bytes:
     the writers produce; version-1 frame-major payloads are read-only.
     """
     spec = spec_for_stream(stream)
-    family = spec.family
-    writer = BitWriter()
-    writer.write_uint(family.wire_id, 8)
-    writer.write_uint(spec.scales, 8)
-    writer.write_uint(stream.image_shape[0], 32)
-    writer.write_uint(stream.image_shape[1], 32)
-    writer.write_uint(spec.bit_depth, 8)
     sections = _normalized_sections(stream)
+    uses_bank = spec.family.uses_bank
+    descriptor = _SECTION[uses_bank]
+    fields = [_meta_prologue(spec, stream.image_shape, len(sections))]
     section_bytes: List[bytes] = []
-    if family.uses_bank:
-        _write_ascii(writer, spec.bank_name)
-        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
-        writer.write_uint(plan.data_formats[1].word_length, 8)
-        writer.write_uint(plan.accumulator_bits, 8)
-        for bits in plan.integer_bits():
-            writer.write_uint(bits, 8)
-    writer.write_uint(len(sections), 16)
     for kind, scale, shape, use_rle, payload, run_payload in sections:
-        writer.write_uint(KIND_IDS[kind], 8)
-        writer.write_uint(scale, 8)
-        writer.write_uint(shape[0], 32)
-        writer.write_uint(shape[1], 32)
-        if family.uses_bank:
-            writer.write_uint(1 if use_rle else 0, 8)
-        writer.write_uint(len(payload), 32)
-        if family.uses_bank:
-            writer.write_uint(len(run_payload), 32)
         # Per-section CRC over the section's bytes exactly as stored
         # (literal payload then run payload) — a prefix read verifies each
         # section it takes without the container-level payload checksum.
-        writer.write_uint(zlib.crc32(run_payload, zlib.crc32(payload)) & 0xFFFFFFFF, 32)
+        crc = zlib.crc32(run_payload, zlib.crc32(payload)) & 0xFFFFFFFF
+        if uses_bank:
+            lengths = (1 if use_rle else 0, len(payload), len(run_payload))
+        else:
+            lengths = (len(payload),)
+        fields.append(descriptor.pack(KIND_IDS[kind], scale, *shape, *lengths, crc))
         section_bytes.append(payload)
         if run_payload:
             section_bytes.append(run_payload)
-    meta = writer.getvalue()
+    meta = b"".join(fields)
     head = _PAYLOAD_HEAD_STRUCT.pack(PAYLOAD_SENTINEL, PAYLOAD_VERSION, len(meta))
     return b"".join([head, meta, struct.pack("<I", crc32(meta)), *section_bytes])
 
 
-def _check_plan(reader: BitReader, bank_name: str, scales: int) -> None:
+def _check_plan(cursor: _MetaCursor, bank_name: str, scales: int) -> None:
     """Verify stored word-length metadata against the freshly derived plan."""
     try:
         bank = get_bank(bank_name)
@@ -355,13 +454,17 @@ def _check_plan(reader: BitReader, bank_name: str, scales: int) -> None:
         raise ArchiveFormatError(
             f"frame payload references unknown filter bank {bank_name!r}"
         ) from exc
-    plan = plan_word_lengths(bank, scales)
-    word_length = reader.read_uint(8)
-    accumulator_bits = reader.read_uint(8)
-    integer_bits = [reader.read_uint(8) for _ in range(scales)]
+    try:
+        plan = plan_word_lengths(bank, scales)
+        expected = (plan.data_formats[1].word_length, plan.accumulator_bits)
+    except (KeyError, FixedPointError) as exc:
+        raise ArchiveFormatError(
+            f"frame payload declares {scales} scales, for which bank "
+            f"{bank_name!r} has no word-length plan ({exc})"
+        ) from exc
+    word_length, accumulator_bits, *integer_bits = cursor.take(2 + scales)
     if (
-        word_length != plan.data_formats[1].word_length
-        or accumulator_bits != plan.accumulator_bits
+        (word_length, accumulator_bits) != expected
         or integer_bits != plan.integer_bits()
     ):
         raise ArchiveFormatError(
@@ -425,64 +528,43 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
         (stored_crc,) = struct.unpack_from("<I", payload, PAYLOAD_HEAD_SIZE + meta_len)
         if stored_crc != crc32(bytes(meta)):
             raise ArchiveIntegrityError("section table checksum mismatch")
-    reader = BitReader(meta)
     # On a truncated meta block the parse below runs against the partial
-    # bytes on purpose: the EOF then names the exact descriptor the payload
-    # ends in, which is the error the truncation sweep asserts.
-    try:
-        codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
-        scales = reader.read_uint(8)
-        shape = (reader.read_uint(32), reader.read_uint(32))
-        bit_depth = reader.read_uint(8)
-        bank_name = ""
-        if family.uses_bank:
-            bank_name = _read_ascii(reader)
-            if check_plan:
-                _check_plan(reader, bank_name, scales)
-            else:
-                for _ in range(2 + scales):
-                    reader.read_uint(8)
-        count = reader.read_uint(16)
-    except (EOFError, KeyError) as exc:
-        if not meta_complete:
-            raise TruncatedArchiveError(
-                "frame payload ends inside its section-table prologue"
-            ) from exc
-        raise ArchiveFormatError("frame payload meta block is malformed") from exc
+    # bytes on purpose: the cursor then names the exact descriptor the
+    # payload ends in, which is the error the truncation sweep asserts.
+    cursor = _MetaCursor(meta, complete=meta_complete)
+    family = cursor.family()
+    scales, rows, columns, bit_depth = cursor.unpack(_PROLOGUE)
+    bank_name = ""
+    if family.uses_bank:
+        bank_name = cursor.text()
+        if check_plan:
+            _check_plan(cursor, bank_name, scales)
+        else:
+            cursor.take(2 + scales)
+    descriptor = _SECTION[family.uses_bank]
+    count = cursor.count(descriptor)
     sections: List[PayloadSection] = []
     offset = body_offset
     for index in range(count):
-        try:
-            kind = KINDS_BY_ID[reader.read_uint(8)]
-            scale = reader.read_uint(8)
-            section_shape = (reader.read_uint(32), reader.read_uint(32))
-            use_rle = bool(reader.read_uint(8)) if family.uses_bank else False
-            payload_len = reader.read_uint(32)
-            run_len = reader.read_uint(32) if family.uses_bank else 0
-            section_crc = reader.read_uint(32)
-        except (EOFError, KeyError) as exc:
-            if not meta_complete:
-                raise TruncatedArchiveError(
-                    f"frame payload ends inside section descriptor {index} "
-                    f"of {count}"
-                ) from exc
-            raise ArchiveFormatError(
-                f"frame payload meta block is malformed at section "
-                f"descriptor {index} of {count}"
-            ) from exc
+        where = f"section descriptor {index} of {count}"
+        fields = cursor.unpack(descriptor, where)
+        if family.uses_bank:
+            kind_id, scale, *section_shape, use_rle, payload_len, run_len, crc = fields
+        else:
+            kind_id, scale, *section_shape, payload_len, crc = fields
+            use_rle, run_len = False, 0
+        if kind_id not in KINDS_BY_ID:
+            raise cursor.error(where)
         sections.append(
             PayloadSection(
                 index=index,
-                kind=kind,
+                kind=KINDS_BY_ID[kind_id],
                 scale=scale,
-                shape=section_shape,
-                use_rle=use_rle,
+                shape=tuple(section_shape),
+                use_rle=bool(use_rle),
                 payload_len=payload_len,
                 run_len=run_len,
-                crc32=section_crc,
+                crc32=crc,
                 offset=offset,
             )
         )
@@ -505,7 +587,7 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
     return SectionTable(
         codec=family.name,
         scales=scales,
-        image_shape=shape,
+        image_shape=(rows, columns),
         bit_depth=bit_depth,
         bank_name=bank_name,
         sections=tuple(sections),
@@ -637,43 +719,24 @@ def _serialize_frame_major(stream: CompressedStream) -> bytes:
     the legacy interleaved Rice blocks.
     """
     spec = spec_for_stream(stream)
-    family = spec.family
-    writer = BitWriter()
-    writer.write_uint(family.wire_id, 8)
-    writer.write_uint(spec.scales, 8)
-    writer.write_uint(stream.image_shape[0], 32)
-    writer.write_uint(stream.image_shape[1], 32)
-    writer.write_uint(spec.bit_depth, 8)
+    descriptor = _CHUNK[spec.family.uses_bank]
+    fields = [_meta_prologue(spec, stream.image_shape, len(stream.chunks))]
     chunk_bytes: List[bytes] = []
-    if family.uses_bank:
-        _write_ascii(writer, spec.bank_name)
-        plan = plan_word_lengths(get_bank(spec.bank_name), spec.scales)
-        writer.write_uint(plan.data_formats[1].word_length, 8)
-        writer.write_uint(plan.accumulator_bits, 8)
-        for bits in plan.integer_bits():
-            writer.write_uint(bits, 8)
-        writer.write_uint(len(stream.chunks), 16)
+    if spec.family.uses_bank:
         for chunk in stream.chunks:
-            writer.write_uint(KIND_IDS[chunk.kind], 8)
-            writer.write_uint(chunk.scale, 8)
-            writer.write_uint(chunk.shape[0], 32)
-            writer.write_uint(chunk.shape[1], 32)
-            writer.write_uint(1 if chunk.use_rle else 0, 8)
-            writer.write_uint(len(chunk.payload), 32)
-            writer.write_uint(len(chunk.run_payload), 32)
-            chunk_bytes.append(chunk.payload)
-            chunk_bytes.append(chunk.run_payload)
+            fields.append(
+                descriptor.pack(
+                    KIND_IDS[chunk.kind], chunk.scale, *chunk.shape,
+                    1 if chunk.use_rle else 0, len(chunk.payload), len(chunk.run_payload),
+                )
+            )
+            chunk_bytes += [chunk.payload, chunk.run_payload]
     else:
-        writer.write_uint(len(stream.chunks), 16)
         for (kind, scale), payload in stream.chunks.items():
             shape = stream.shapes[(kind, scale)]
-            writer.write_uint(KIND_IDS[kind], 8)
-            writer.write_uint(scale, 8)
-            writer.write_uint(shape[0], 32)
-            writer.write_uint(shape[1], 32)
-            writer.write_uint(len(payload), 32)
+            fields.append(descriptor.pack(KIND_IDS[kind], scale, *shape, len(payload)))
             chunk_bytes.append(payload)
-    meta = writer.getvalue()
+    meta = b"".join(fields)
     return b"".join([struct.pack("<I", len(meta)), meta, *chunk_bytes])
 
 
@@ -688,70 +751,57 @@ def _deserialize_frame_major(payload: Payload) -> Tuple[CompressedStream, CodecS
             f"frame payload declares a {meta_len}-byte meta block but only "
             f"{len(meta)} bytes follow"
         )
-    reader = BitReader(meta)
-    try:
-        codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        # The name came from inverting the registry, so this lookup cannot
-        # miss; it just resolves the id to its family entry.
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
-        scales = reader.read_uint(8)
-        shape = (reader.read_uint(32), reader.read_uint(32))
-        bit_depth = reader.read_uint(8)
-        position = 4 + meta_len
+    cursor = _MetaCursor(meta)
+    family = cursor.family()
+    scales, rows, columns, bit_depth = cursor.unpack(_PROLOGUE)
+    position = 4 + meta_len
 
-        def take(length: int) -> Payload:
-            # Slicing keeps the input's form: bytes stay bytes, views stay
-            # views (zero-copy into the backend's mapping).
-            nonlocal position
-            data = payload[position : position + length]
-            if len(data) != length:
-                raise ArchiveFormatError(
-                    f"frame payload ends inside a {length}-byte chunk"
-                )
-            position += length
-            return data
+    def take(length: int) -> Payload:
+        # Slicing keeps the input's form: bytes stay bytes, views stay
+        # views (zero-copy into the backend's mapping).
+        nonlocal position
+        data = payload[position : position + length]
+        if len(data) != length:
+            raise ArchiveFormatError(f"frame payload ends inside a {length}-byte chunk")
+        position += length
+        return data
 
+    stream: CompressedStream
+    if family.uses_bank:
+        bank_name = cursor.text()
+        _check_plan(cursor, bank_name, scales)
+        stream = CompressedImage(
+            bank_name=bank_name,
+            scales=scales,
+            image_shape=(rows, columns),
+            bit_depth=bit_depth,
+        )
+    else:
+        stream = CompressedSImage(
+            scales=scales, image_shape=(rows, columns), bit_depth=bit_depth
+        )
+    descriptor = _CHUNK[family.uses_bank]
+    for _ in range(cursor.count(descriptor)):
+        fields = cursor.unpack(descriptor)
+        if fields[0] not in KINDS_BY_ID:
+            raise cursor.error()
+        kind = KINDS_BY_ID[fields[0]]
         if family.uses_bank:
-            bank_name = _read_ascii(reader)
-            _check_plan(reader, bank_name, scales)
-            stream: CompressedStream = CompressedImage(
-                bank_name=bank_name,
-                scales=scales,
-                image_shape=shape,
-                bit_depth=bit_depth,
-            )
-            for _ in range(reader.read_uint(16)):
-                kind = KINDS_BY_ID[reader.read_uint(8)]
-                chunk_scale = reader.read_uint(8)
-                chunk_shape = (reader.read_uint(32), reader.read_uint(32))
-                use_rle = bool(reader.read_uint(8))
-                payload_len = reader.read_uint(32)
-                run_len = reader.read_uint(32)
-                stream.chunks.append(
-                    SubbandChunk(
-                        kind=kind,
-                        scale=chunk_scale,
-                        shape=chunk_shape,
-                        use_rle=use_rle,
-                        payload=take(payload_len),
-                        run_payload=take(run_len),
-                    )
+            _, chunk_scale, *chunk_shape, use_rle, payload_len, run_len = fields
+            stream.chunks.append(
+                SubbandChunk(
+                    kind=kind,
+                    scale=chunk_scale,
+                    shape=tuple(chunk_shape),
+                    use_rle=bool(use_rle),
+                    payload=take(payload_len),
+                    run_payload=take(run_len),
                 )
-        else:
-            stream = CompressedSImage(
-                scales=scales, image_shape=shape, bit_depth=bit_depth
             )
-            for _ in range(reader.read_uint(16)):
-                kind = KINDS_BY_ID[reader.read_uint(8)]
-                chunk_scale = reader.read_uint(8)
-                chunk_shape = (reader.read_uint(32), reader.read_uint(32))
-                payload_len = reader.read_uint(32)
-                stream.chunks[(kind, chunk_scale)] = take(payload_len)
-                stream.shapes[(kind, chunk_scale)] = chunk_shape
-    except (EOFError, KeyError) as exc:
-        raise ArchiveFormatError("frame payload meta block is malformed") from exc
+        else:
+            _, chunk_scale, *chunk_shape, payload_len = fields
+            stream.chunks[(kind, chunk_scale)] = take(payload_len)
+            stream.shapes[(kind, chunk_scale)] = tuple(chunk_shape)
     if position != len(payload):
         raise ArchiveFormatError(
             f"frame payload has {len(payload) - position} trailing bytes after "
@@ -824,28 +874,20 @@ def payload_spec(payload: Payload) -> CodecSpec:
             f"frame payload declares a {meta_len}-byte meta block but only "
             f"{len(meta)} bytes follow"
         )
-    reader = BitReader(meta)
+    cursor = _MetaCursor(meta)
+    family = cursor.family()
+    scales, _, _, bit_depth = cursor.unpack(_PROLOGUE)  # geometry is not spec
     try:
-        codec_id = reader.read_uint(8)
-        if codec_id not in CODEC_NAMES_BY_ID:
-            raise ArchiveFormatError(f"frame payload has unknown codec id {codec_id}")
-        family = get_family(CODEC_NAMES_BY_ID[codec_id])
-        scales = reader.read_uint(8)
-        reader.read_uint(32), reader.read_uint(32)  # geometry, not part of the spec
-        bit_depth = reader.read_uint(8)
         if not family.uses_bank:
             return CodecSpec(codec=family.name, scales=scales, bit_depth=bit_depth)
-        bank_name = _read_ascii(reader)
+        bank_name = cursor.text()
         # Skip the stored word-length plan (word length, accumulator,
         # per-scale integer bits) — triage must not require it to validate.
-        for _ in range(2 + scales):
-            reader.read_uint(8)
+        cursor.take(2 + scales)
+        descriptor = _CHUNK[True]
         use_rle = False
-        for _ in range(reader.read_uint(16)):
-            reader.read_uint(8), reader.read_uint(8)  # kind, scale
-            reader.read_uint(32), reader.read_uint(32)  # shape
-            use_rle = bool(reader.read_uint(8)) or use_rle
-            reader.read_uint(32), reader.read_uint(32)  # payload/run lengths
+        for _ in range(cursor.count(descriptor)):
+            use_rle = bool(cursor.unpack(descriptor)[4]) or use_rle
         return CodecSpec(
             codec=family.name,
             scales=scales,
@@ -853,8 +895,6 @@ def payload_spec(payload: Payload) -> CodecSpec:
             bank=bank_name,
             use_rle=use_rle,
         )
-    except (EOFError, KeyError) as exc:
-        raise ArchiveFormatError("frame payload meta block is malformed") from exc
     except (ValueError, TypeError) as exc:
         raise ArchiveFormatError(
             f"frame payload metadata does not form a valid codec configuration ({exc})"

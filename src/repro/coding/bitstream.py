@@ -123,7 +123,7 @@ class BitReader:
         first, offset = divmod(self._position, 8)
         end = first + width // 8
         if not offset and not width % 8 and end <= len(self._data):
-            # Whole bytes at a byte boundary (every archive meta field).
+            # Whole bytes at a byte boundary (block headers, byte-wide fields).
             self._position += width
             return int.from_bytes(self._data[first:end], "big")
         value = 0

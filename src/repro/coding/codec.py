@@ -40,6 +40,7 @@ from ..fixedpoint.wordlength import WordLengthPlan, plan_word_lengths
 from ..fxdwt.transform import FixedPointDWT, FixedPointPyramid
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
+    rice_declared_count,
     rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode_planar_blocks,
@@ -121,6 +122,28 @@ class CompressedImage:
         for chunk in self.chunks:
             sizes[chunk.scale] = sizes.get(chunk.scale, 0) + chunk.byte_size
         return sizes
+
+
+def _check_rle_counts(chunk: SubbandChunk) -> None:
+    """Reject an RLE chunk whose Rice headers cannot describe its band.
+
+    Every literal takes one run-stream entry (a 0 marker) and every entry
+    covers at least one pixel, so a valid chunk declares
+    ``literals <= entries <= pixels``.  Checked from the two blocks'
+    declared counts before any block is decoded, so a hostile run stream
+    fails without the work of decoding the bands in front of it.  A block
+    too short for a header is left to the decoder, which rejects it.
+    """
+    literals = rice_declared_count(chunk.payload)
+    entries = rice_declared_count(chunk.run_payload)
+    if literals is None or entries is None:
+        return
+    pixels = chunk.shape[0] * chunk.shape[1]
+    if not literals <= entries <= pixels:
+        raise ValueError(
+            f"RLE chunk {chunk.kind}@{chunk.scale} declares {literals} literals "
+            f"in {entries} run entries for a {pixels}-pixel band"
+        )
 
 
 class LosslessWaveletCodec:
@@ -351,6 +374,9 @@ class LosslessWaveletCodec:
             for scale in scales
             for kind in ("HG", "GH", "GG")
         ]
+        for chunk in chunks:
+            if chunk.use_rle:
+                _check_rle_counts(chunk)
         payloads: List[bytes] = []
         for chunk in chunks:
             payloads.append(chunk.payload)

@@ -73,6 +73,7 @@ __all__ = [
     "rice_encode_scalar",
     "rice_decode_scalar",
     "is_planar_block",
+    "rice_declared_count",
     "rice_code_length",
     "rice_cost_matrix",
     "optimal_rice_parameter",
@@ -607,6 +608,16 @@ def rice_decode_planar_blocks(payloads) -> List[np.ndarray]:
         decoded[b] if b in decoded else _decode_interleaved(payload)
         for b, payload in enumerate(payloads)
     ]
+
+
+def rice_declared_count(data) -> Optional[int]:
+    """The symbol count a Rice block's header declares, read without
+    decoding anything: bytes 1-4, big-endian, in the planar and the
+    interleaved layout alike.  ``None`` for a block too short to hold a
+    header (decoding it raises ``EOFError``)."""
+    if len(data) < _HEADER_BYTES:
+        return None
+    return int.from_bytes(data[1:_HEADER_BYTES], "big")
 
 
 def is_planar_block(data) -> bool:

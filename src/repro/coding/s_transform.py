@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dwt.subbands import check_band_shapes
-from .mapper import zigzag_decode, zigzag_encode
+from .mapper import zigzag_decode
 from .rice import (
     rice_decode_planar_blocks,
     rice_decode_scalar,
@@ -127,9 +127,8 @@ class STransformPyramid:
         return len(self.details)
 
 
-def s_transform_forward_2d(image: np.ndarray, scales: int) -> STransformPyramid:
-    """Multi-scale 2-D forward S-transform (rows then columns, recurse on LL)."""
-    image = np.asarray(image)
+def _check_dyadic(image: np.ndarray, scales: int) -> None:
+    """Reject anything but a 2-D image that halves ``scales`` times."""
     if image.ndim != 2:
         raise ValueError("expected a 2-D image")
     if scales < 1:
@@ -139,15 +138,56 @@ def s_transform_forward_2d(image: np.ndarray, scales: int) -> STransformPyramid:
             raise ValueError(
                 f"image dimension {size} does not support {scales} dyadic scales"
             )
-    data = image.astype(np.int64)
+
+
+def _lift_in_place(data: np.ndarray, scales: int) -> STransformPyramid:
+    """The multi-scale forward S-transform of ``data``, lifted in place.
+
+    Each scale lifts the current LL view along axis 1 (the odd column of a
+    pair becomes its detail, the even one its approximation), then along
+    axis 0, so the scale's subbands interleave in the view: LL at
+    ``[0::2, 0::2]``, HG at ``[1::2, 0::2]``, GH at ``[0::2, 1::2]`` and GG
+    at ``[1::2, 1::2]``.  The returned bands are strided views of ``data``:
+    nothing is transposed or copied.  Each step writes only coefficients
+    that the transform keeps, so ``data``'s word need only hold those.
+    """
+    shifted = np.empty(data.size // 2, dtype=data.dtype)
     details: List[Dict[str, np.ndarray]] = []
     for _ in range(scales):
-        row_lo, row_hi = s_transform_forward_1d(data)
-        ll, lh = s_transform_forward_1d(row_lo.T)
-        hl, hh = s_transform_forward_1d(row_hi.T)
-        details.append({"HG": lh.T, "GH": hl.T, "GG": hh.T})
-        data = ll.T
+        for even, odd in (
+            (data[:, 0::2], data[:, 1::2]),
+            (data[0::2], data[1::2]),
+        ):
+            # detail = odd - even; approximation = even + floor(detail / 2).
+            np.subtract(odd, even, out=odd)
+            half = shifted[: even.size].reshape(even.shape)
+            np.right_shift(odd, 1, out=half)
+            np.add(even, half, out=even)
+        details.append(
+            {"HG": data[1::2, 0::2], "GH": data[0::2, 1::2], "GG": data[1::2, 1::2]}
+        )
+        data = data[0::2, 0::2]
     return STransformPyramid(approximation=data, details=details)
+
+
+def s_transform_forward_2d(image: np.ndarray, scales: int) -> STransformPyramid:
+    """Multi-scale 2-D forward S-transform (rows then columns, recurse on LL),
+    in ``int64``.
+
+    Each band is its own contiguous array, so a caller that keeps one band
+    (a preview's approximation, say) does not keep the image-sized lifting
+    buffer alive.
+    """
+    image = np.asarray(image)
+    _check_dyadic(image, scales)
+    lifted = _lift_in_place(image.astype(np.int64), scales)
+    return STransformPyramid(
+        approximation=lifted.approximation.copy(),
+        details=[
+            {kind: band.copy() for kind, band in bands.items()}
+            for bands in lifted.details
+        ],
+    )
 
 
 def s_transform_inverse_2d(pyramid: STransformPyramid) -> np.ndarray:
@@ -197,6 +237,37 @@ def s_transform_inverse_roi(
 # ---------------------------------------------------------------------------
 # Codec
 # ---------------------------------------------------------------------------
+
+def _lifting_word(bit_depth: int) -> type:
+    """The narrowest signed word for the forward lifting of
+    ``bit_depth``-bit pixels.
+
+    Approximations stay in pixel range and a first difference takes one
+    bit more; only GG, the difference of two differences, reaches
+    ``2 * (2**bit_depth - 1)``, which needs ``bit_depth + 2`` signed bits:
+    ``int16`` up to 14-bit pixels, ``int32`` for 15 and 16.
+    """
+    return np.int16 if bit_depth <= 14 else np.int32
+
+
+def _zigzag_word(band: np.ndarray) -> np.ndarray:
+    """:func:`~repro.coding.mapper.zigzag_encode` of a band, flat, in the
+    unsigned word of the band's own width.
+
+    Zig-zag maps the ``n``-bit signed integers one to one onto the ``n``-bit
+    unsigned ones, so the fold is exact in any width: ``(v << 1) ^ (v >>
+    (n - 1))`` with the shift done unsigned.  A strided band is read in
+    place; the result is contiguous.
+    """
+    band = np.asarray(band)
+    if band.dtype.kind != "i":
+        band = band.astype(np.int64)
+    unsigned = np.dtype(f"u{band.itemsize}")
+    symbols = np.left_shift(band.view(unsigned), 1)
+    sign = np.right_shift(band, 8 * band.itemsize - 1)
+    np.bitwise_xor(symbols, sign.view(unsigned), out=symbols)
+    return symbols.reshape(-1)
+
 
 @dataclass
 class CompressedSImage:
@@ -257,7 +328,9 @@ class STransformCodec:
 
     # -- stage API (used by the batched pipeline for per-stage timing) ------------------
     def forward_transform(self, image: np.ndarray) -> STransformPyramid:
-        """Validate the image and run the multi-scale forward S-transform."""
+        """Validate the image and run the multi-scale forward S-transform in
+        the narrowest word that holds every coefficient
+        (:func:`_lifting_word`); the bands are views of that one buffer."""
         image = np.asarray(image)
         if image.ndim != 2:
             raise ValueError("the codec compresses 2-D images")
@@ -265,7 +338,8 @@ class STransformCodec:
             raise ValueError(
                 f"image values outside the declared {self.bit_depth}-bit range"
             )
-        return s_transform_forward_2d(image, self.scales)
+        _check_dyadic(image, self.scales)
+        return _lift_in_place(image.astype(_lifting_word(self.bit_depth)), self.scales)
 
     def encode_pyramid(
         self, pyramid: STransformPyramid, image_shape: Tuple[int, int]
@@ -279,9 +353,7 @@ class STransformCodec:
         bands = [("HH", self.scales, pyramid.approximation)]
         for scale_index, details in enumerate(pyramid.details, start=1):
             bands.extend((kind, scale_index, band) for kind, band in details.items())
-        payloads = self._rice_encode_blocks(
-            [zigzag_encode(np.asarray(band, dtype=np.int64).ravel()) for *_, band in bands]
-        )
+        payloads = self._rice_encode_blocks([_zigzag_word(band) for *_, band in bands])
         for (kind, scale, band), payload in zip(bands, payloads):
             compressed.chunks[(kind, scale)] = payload
             compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))

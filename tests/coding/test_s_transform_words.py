@@ -1,0 +1,147 @@
+"""The S-transform codec lifts in the narrowest word its bit depth allows.
+
+``STransformCodec.forward_transform`` lifts in place in ``int16`` up to
+14-bit pixels and in ``int32`` for 15 and 16 bits, and zig-zags each band
+straight into the unsigned word of the same width.  The reference here is
+the plain ``int64`` lifting (transposed 1-D steps, ``int64`` zig-zag): the
+narrow pyramid must equal it value for value and the stored bytes must not
+change.  The 0/max checkerboard drives the GG band to its bound,
+``2 * (2**bit_depth - 1)``, the largest value the word has to hold.
+"""
+
+import numpy as np
+import pytest
+
+from repro.archive.serialize import serialize_stream
+from repro.coding import STransformCodec
+from repro.coding.mapper import zigzag_encode
+from repro.coding.rice import rice_encode_planar_blocks, rice_encode_planar_scalar
+from repro.coding.s_transform import (
+    CompressedSImage,
+    s_transform_forward_1d,
+    s_transform_forward_2d,
+)
+from repro.imaging import ct_slice_series
+
+SIZE = 64
+SCALES = range(1, 7)  # every dyadic depth of a 64x64 image
+DEPTHS = (12, 14, 15, 16)
+
+
+def _checkerboard(bit_depth):
+    rows, columns = np.indices((SIZE, SIZE))
+    return np.where((rows + columns) % 2, (1 << bit_depth) - 1, 0).astype(np.int64)
+
+
+def _ct_slice(bit_depth):
+    frame = ct_slice_series(count=1, size=SIZE, seed=7)[0].astype(np.int64)
+    return frame * ((1 << bit_depth) - 1) // 4095
+
+
+IMAGES = {"checkerboard": _checkerboard, "ct": _ct_slice}
+
+
+def _int64_pyramid(image, scales):
+    """Row step, then column step on transposed views, all in ``int64``."""
+    data = np.asarray(image, dtype=np.int64)
+    details = []
+    for _ in range(scales):
+        row_lo, row_hi = s_transform_forward_1d(data)
+        ll, lh = s_transform_forward_1d(row_lo.T)
+        hl, hh = s_transform_forward_1d(row_hi.T)
+        details.append({"HG": lh.T, "GH": hl.T, "GG": hh.T})
+        data = ll.T
+    return data, details
+
+
+def _int64_stream(image, scales, bit_depth, engine):
+    """The stream the ``int64`` path codes: the same band order, ``int64``
+    zig-zag, the same Rice coders."""
+    approximation, details = _int64_pyramid(image, scales)
+    bands = [(("HH", scales), approximation)] + [
+        ((kind, scale), band)
+        for scale, entry in enumerate(details, start=1)
+        for kind, band in entry.items()
+    ]
+    blocks = [zigzag_encode(band.ravel()) for _, band in bands]
+    if engine == "scalar":
+        payloads = [rice_encode_planar_scalar(block) for block in blocks]
+    else:
+        payloads = rice_encode_planar_blocks(blocks)
+    return CompressedSImage(
+        scales=scales,
+        image_shape=image.shape,
+        bit_depth=bit_depth,
+        chunks={key: payload for (key, _), payload in zip(bands, payloads)},
+        shapes={key: band.shape for key, band in bands},
+    )
+
+
+@pytest.mark.parametrize("bit_depth", range(1, 17))
+def test_the_lifting_word_is_pinned_per_bit_depth(bit_depth):
+    image = _checkerboard(bit_depth)
+    pyramid = STransformCodec(scales=2, bit_depth=bit_depth).forward_transform(image)
+    word = np.int16 if bit_depth <= 14 else np.int32
+    assert pyramid.approximation.dtype == word
+    for bands in pyramid.details:
+        assert {band.dtype for band in bands.values()} == {np.dtype(word)}
+
+
+@pytest.mark.parametrize("bit_depth", DEPTHS)
+@pytest.mark.parametrize("image_name", sorted(IMAGES))
+def test_the_narrow_pyramid_equals_the_int64_lifting(image_name, bit_depth):
+    image = IMAGES[image_name](bit_depth)
+    for scales in SCALES:
+        pyramid = STransformCodec(scales=scales, bit_depth=bit_depth).forward_transform(
+            image
+        )
+        approximation, details = _int64_pyramid(image, scales)
+        np.testing.assert_array_equal(pyramid.approximation, approximation)
+        for narrow, wide in zip(pyramid.details, details, strict=True):
+            for kind in ("HG", "GH", "GG"):
+                np.testing.assert_array_equal(narrow[kind], wide[kind])
+
+
+@pytest.mark.parametrize("bit_depth", DEPTHS)
+def test_the_checkerboard_reaches_the_bound_the_word_holds(bit_depth):
+    _, details = _int64_pyramid(_checkerboard(bit_depth), 1)
+    assert np.abs(details[0]["GG"]).max() == 2 * ((1 << bit_depth) - 1)
+
+
+@pytest.mark.parametrize("bit_depth", DEPTHS)
+@pytest.mark.parametrize("image_name", sorted(IMAGES))
+def test_the_stored_bytes_equal_the_int64_path(image_name, bit_depth):
+    image = IMAGES[image_name](bit_depth)
+    for scales in SCALES:
+        codec = STransformCodec(scales=scales, bit_depth=bit_depth, engine="fast")
+        stream = codec.encode(image)
+        reference = _int64_stream(image, scales, bit_depth, "fast")
+        assert stream.chunks == reference.chunks
+        assert serialize_stream(stream) == serialize_stream(reference)
+        np.testing.assert_array_equal(codec.decode(stream), image)
+
+
+@pytest.mark.parametrize("bit_depth", DEPTHS)
+def test_the_scalar_tier_codes_the_narrow_bands_alike(bit_depth):
+    image = _ct_slice(bit_depth)
+    stream = STransformCodec(scales=3, bit_depth=bit_depth, engine="scalar").encode(image)
+    assert stream.chunks == _int64_stream(image, 3, bit_depth, "scalar").chunks
+
+
+def test_an_int64_pyramid_still_encodes_to_the_same_bytes():
+    """``encode_pyramid`` takes any signed pyramid, e.g. the public
+    ``int64`` :func:`s_transform_forward_2d` one."""
+    image = _ct_slice(16)
+    codec = STransformCodec(scales=4, bit_depth=16)
+    wide = codec.encode_pyramid(s_transform_forward_2d(image, 4), image.shape)
+    assert wide.chunks == codec.encode(image).chunks
+
+
+def test_the_int64_pyramid_bands_own_their_memory():
+    """Keeping one band of :func:`s_transform_forward_2d` (a preview's
+    approximation, say) must not keep the image-sized buffer alive."""
+    pyramid = s_transform_forward_2d(_ct_slice(12), 3)
+    bands = [pyramid.approximation] + [
+        band for entry in pyramid.details for band in entry.values()
+    ]
+    assert all(band.flags.owndata and band.flags.c_contiguous for band in bands)
