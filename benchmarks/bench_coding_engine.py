@@ -27,7 +27,7 @@ from repro.coding.rice import (
     rice_encode_planar_scalar,
 )
 from repro.coding.rle import rle_decode, rle_decode_arrays, rle_encode, rle_encode_arrays
-from repro.coding.s_transform import STransformCodec
+from repro.coding.s_transform import STransformCodec, _zigzag_word
 from repro.imaging.phantoms import ct_slice_series
 
 N_SYMBOLS = 1 << 18
@@ -164,7 +164,12 @@ def test_rle_throughput(benchmark, save_json_record):
 
 def _pyramid_blocks():
     """The Rice blocks of a 256x256 s-transform pyramid and of a 128x128
-    coefficient-codec pyramid (zig-zagged bands, RLE literals and runs)."""
+    coefficient-codec pyramid (zig-zagged bands, RLE literals and runs).
+
+    The s-transform bands appear twice: widened to ``int64`` by
+    :func:`zigzag_encode`, and in the lifting word the codec's own
+    ``_zigzag_word`` hands the coder on the ingest path (``uint16`` for
+    12-bit pixels)."""
     s_image = ct_slice_series(count=1, size=256, seed=1)[0]
     s_pyramid = STransformCodec(scales=4).forward_transform(s_image)
     s_bands = [s_pyramid.approximation] + [
@@ -180,6 +185,7 @@ def _pyramid_blocks():
             c_blocks += [zigzag_encode(literals), runs]
     return {
         "s_transform_256": [zigzag_encode(band.ravel()) for band in s_bands],
+        "s_transform_256_words": [_zigzag_word(band) for band in s_bands],
         "coefficient_128": c_blocks,
     }
 

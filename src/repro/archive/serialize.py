@@ -74,6 +74,7 @@ from typing import List, Optional, Tuple, Union
 from ..coding.codec import CompressedImage, SubbandChunk
 from ..coding.s_transform import CompressedSImage
 from ..coding.spec import CodecSpec, UnknownCodecError, family_for_stream, get_family
+from ..dwt.subbands import check_image_shape
 from ..filters.catalog import get_bank
 from ..fixedpoint.errors import FixedPointError
 from ..fixedpoint.wordlength import plan_word_lengths
@@ -296,7 +297,10 @@ _CHUNK = {
 
 def _meta_prologue(spec: CodecSpec, image_shape: Tuple[int, int], count: int) -> bytes:
     """The meta-block fields in front of the descriptors: the spec (and
-    the bank's word-length plan), the geometry and the descriptor count."""
+    the bank's word-length plan), the geometry and the descriptor count.
+    A geometry above the frame ceiling raises ``ValueError``: no reader
+    would accept it."""
+    check_image_shape(image_shape)
     family = spec.family
     fields = [
         bytes([family.wire_id]),
@@ -391,6 +395,20 @@ class _MetaCursor:
         # The name came from inverting the registry, so this lookup cannot
         # miss; it just resolves the id to its family entry.
         return get_family(CODEC_NAMES_BY_ID[codec_id])
+
+
+def _read_geometry(cursor: _MetaCursor) -> Tuple[int, int, int, int]:
+    """The prologue's scales, rows, columns and bit depth; a geometry above
+    the frame ceiling raises :class:`ArchiveFormatError` before anything
+    is sized from it."""
+    scales, rows, columns, bit_depth = cursor.unpack(_PROLOGUE)
+    try:
+        check_image_shape((rows, columns))
+    except ValueError as exc:
+        raise ArchiveFormatError(
+            f"frame payload geometry is out of range: {exc}"
+        ) from exc
+    return scales, rows, columns, bit_depth
 
 
 def _normalized_sections(stream: CompressedStream):
@@ -533,7 +551,7 @@ def parse_section_table(payload: Payload, check_plan: bool = True) -> SectionTab
     # payload ends in, which is the error the truncation sweep asserts.
     cursor = _MetaCursor(meta, complete=meta_complete)
     family = cursor.family()
-    scales, rows, columns, bit_depth = cursor.unpack(_PROLOGUE)
+    scales, rows, columns, bit_depth = _read_geometry(cursor)
     bank_name = ""
     if family.uses_bank:
         bank_name = cursor.text()
@@ -753,7 +771,7 @@ def _deserialize_frame_major(payload: Payload) -> Tuple[CompressedStream, CodecS
         )
     cursor = _MetaCursor(meta)
     family = cursor.family()
-    scales, rows, columns, bit_depth = cursor.unpack(_PROLOGUE)
+    scales, rows, columns, bit_depth = _read_geometry(cursor)
     position = 4 + meta_len
 
     def take(length: int) -> Payload:
@@ -876,7 +894,7 @@ def payload_spec(payload: Payload) -> CodecSpec:
         )
     cursor = _MetaCursor(meta)
     family = cursor.family()
-    scales, _, _, bit_depth = cursor.unpack(_PROLOGUE)  # geometry is not spec
+    scales, _, _, bit_depth = _read_geometry(cursor)  # geometry is not spec
     try:
         if not family.uses_bank:
             return CodecSpec(codec=family.name, scales=scales, bit_depth=bit_depth)

@@ -96,6 +96,7 @@ from urllib.parse import parse_qs, unquote
 
 import numpy as np
 
+from ..dwt.subbands import MAX_FRAME_PIXELS
 from .backend import RetryPolicy, StorageBackend
 from .format import ArchiveError, FrameInfo
 from .ingest import IngestReport, ingest_async
@@ -122,11 +123,11 @@ Target = Union[str, Path, StorageBackend]
 
 #: Hard parser limits — a client cannot make the server hold unbounded
 #: header state (the ingest *body* is unbounded by design; its records are
-#: individually capped instead).
+#: individually capped instead, a record's geometry at the library-wide
+#: :data:`~repro.dwt.subbands.MAX_FRAME_PIXELS`).
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_COUNT = 100
 MAX_NAME_BYTES = 1024
-MAX_FRAME_PIXELS = 1 << 26  # 8192 x 8192 at the wire's 2 bytes/pixel
 MAX_CHUNK_BYTES = 1 << 24
 
 _REASONS = {

@@ -43,7 +43,7 @@ from .rice import (
     rice_declared_count,
     rice_decode_planar_blocks,
     rice_decode_scalar,
-    rice_encode_planar_blocks,
+    rice_encode_planar_flat,
     rice_encode_planar_scalar,
 )
 from .rle import (
@@ -235,11 +235,16 @@ class LosslessWaveletCodec:
                 for kind, band in entry.as_dict().items()
             )
         # Every band's Rice blocks are coded in one batch: the (zig-zagged)
-        # literals of each band, then its run stream if it is RLE coded.
+        # literals of each band, then its run stream if it is RLE coded,
+        # laid end to end.  The per-band blocks go before the coder runs,
+        # so the batch holds one copy of the frame's symbols, not two.
         blocks: List[np.ndarray] = []
         for _, _, band, use_rle in bands:
             blocks.extend(self._band_blocks(band, use_rle))
-        payloads = iter(self._rice_encode_blocks(blocks))
+        counts = [block.size for block in blocks]
+        symbols = np.concatenate(blocks)
+        del blocks
+        payloads = iter(self._rice_encode(symbols, counts))
         for kind, scale, band, use_rle in bands:
             compressed.chunks.append(
                 SubbandChunk(
@@ -274,10 +279,14 @@ class LosslessWaveletCodec:
         pyramid = self.forward_transform(image)
         return self.encode_pyramid(pyramid, image.shape)
 
-    def _rice_encode_blocks(self, blocks: List[np.ndarray]) -> List[bytes]:
+    def _rice_encode(self, symbols: np.ndarray, counts: List[int]) -> List[bytes]:
+        """The Rice blocks laid end to end in ``symbols``."""
         if self.engine == "scalar":
-            return [rice_encode_planar_scalar(block) for block in blocks]
-        return rice_encode_planar_blocks(blocks)
+            return [
+                rice_encode_planar_scalar(block)
+                for block in np.split(symbols, np.cumsum(counts)[:-1])
+            ]
+        return rice_encode_planar_flat(symbols, counts)
 
     def _rice_decode_blocks(self, payloads: List[bytes]) -> Iterator[np.ndarray]:
         """The decoded blocks in order.  The scalar tier decodes each one as

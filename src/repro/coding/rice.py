@@ -22,12 +22,18 @@ bit 7 of the first byte:
   ``diff`` give the quotients and one fixed-width unpack the remainders.
   Written by :func:`rice_encode_planar_blocks` (vectorised, every block of
   a frame in one batch: one parameter search, one remainder pass per
-  distinct ``k``, one unary pass), its one-block form
+  distinct ``k``, one unary pass), its flat form
+  :func:`rice_encode_planar_flat` (the blocks already laid end to end in
+  one buffer, as the s-transform codec zig-zags them), its one-block form
   :func:`rice_encode_planar`, and :func:`rice_encode_planar_scalar`
-  (bit-by-bit reference, one block at a time).  Read back by its mirror
-  :func:`rice_decode_planar_blocks` (one unary pass, one ``diff`` and one
-  remainder pass per distinct ``k`` over a frame's blocks, each block
-  confined to its own plane's zeros).
+  (bit-by-bit reference, one block at a time).  The batch encoder keeps
+  an unsigned block of up to 32 bits in its own word (the ``uint16`` or
+  ``uint32`` symbols of the s-transform's lifting word), with no ``int64``
+  copy and no sign check; any other input is read as ``int64``.  Its sums
+  accumulate in ``int64`` whatever the symbols' word.  Read back by its
+  mirror :func:`rice_decode_planar_blocks` (one unary pass, one ``diff``
+  and one remainder pass per distinct ``k`` over a frame's blocks, each
+  block confined to its own plane's zeros).
 * **interleaved** (read-only legacy) —
   ``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``,
   each code's unary quotient directly followed by its remainder.
@@ -37,10 +43,12 @@ bit 7 of the first byte:
 
 Every decoder — :func:`rice_decode_planar_blocks` and its one-block calls
 :func:`rice_decode_array` / :func:`rice_decode` (vectorised), and
-:func:`rice_decode_scalar` (bit-by-bit reference) — accepts both layouts.  The vectorised interleaved decode resolves the "where does the
-next code start" dependency by pointer doubling over the stream's zero
-positions (:func:`~repro.coding.fastbits.orbit`).  The fast and scalar
-encoders of each layout produce **byte-identical** streams.
+:func:`rice_decode_scalar` (bit-by-bit reference) — accepts both layouts.
+The vectorised interleaved decode resolves the "where does the next code
+start" dependency by pointer doubling over the stream's zero positions
+(:func:`~repro.coding.fastbits.orbit`).  The fast and scalar encoders of
+each layout produce **byte-identical** streams, whatever word their
+input arrives in.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ __all__ = [
     "rice_encode",
     "rice_encode_planar",
     "rice_encode_planar_blocks",
+    "rice_encode_planar_flat",
     "rice_encode_planar_scalar",
     "rice_decode",
     "rice_decode_array",
@@ -87,6 +96,9 @@ MAX_RICE_PARAMETER = 30
 PLANAR_FLAG = 0x80
 #: Bytes of the ``k | count`` header shared by both layouts.
 _HEADER_BYTES = 5
+#: The unsigned words the batch encoder codes as they arrive; any other
+#: input is read as ``int64``.
+_KEPT_WORDS = tuple(np.dtype(word) for word in (np.uint8, np.uint16, np.uint32))
 #: Symbols decoded per batch by :func:`rice_decode_planar_blocks`.  A
 #: batch's working set (about 40 bytes a symbol) then stays in cache and in
 #: memory the allocator reuses: one batch for a whole 512x512 frame
@@ -210,7 +222,9 @@ def _optimal_parameters(
     bounds = [bounds[b] for b in nonempty]
     starts = [start for start, _ in bounds]
     tops = []
-    for total, (start, stop) in zip(np.add.reduceat(flat, starts).tolist(), bounds):
+    # The sums accumulate in int64 whatever the symbols' word.
+    totals = np.add.reduceat(flat, starts, dtype=np.int64).tolist()
+    for total, (start, stop) in zip(totals, bounds):
         n = stop - start
         kh = 0 if total <= n else (-(-total // n) - 1).bit_length()
         tops.append(min(kh, max_k))
@@ -259,11 +273,11 @@ def _prepare_block(symbols, k: Optional[int]) -> Tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 #
 # Eight k-bit remainders fill exactly k bytes, so remainder j of every such
-# group sits at the same bit offset j * k inside its group.  Column j of the
-# (groups x 8) remainder matrix is therefore written to / read from the
-# byte columns ``plane[first + i :: k]`` with shifts that are constants for
-# the column: 8 columns x at most 5 strided byte passes, no per-symbol
-# gather or scatter.
+# group sits at the same bit offset j * k inside its group.  The encoder
+# builds each group's 8k bits in whole 64-bit words, one shift and one OR
+# per column of the (groups x 8) remainder matrix; the decoder reads column
+# j from the byte columns ``plane[first + i :: k]`` with shifts that are
+# constants for the column.  Neither needs a per-symbol gather or scatter.
 
 
 def _remainder_columns(k: int) -> List[Tuple[int, int, int]]:
@@ -276,19 +290,30 @@ def _remainder_columns(k: int) -> List[Tuple[int, int, int]]:
 def _pack_remainder_groups(fields: np.ndarray, k: int) -> np.ndarray:
     """The remainder plane of a ``(groups x 8)`` matrix of ``k``-bit fields.
 
-    Fields are written MSB-first, ``k`` bytes per group of eight.  A field
-    and its bit offset span at most ``k + 7`` bits, so ``fields`` may be of
-    any unsigned type at least that wide.
+    A group's eight fields (each holding ``k`` bits) are ``8k`` bits, MSB
+    first, and its ``k`` bytes in the plane are those bits.  Each group is
+    built in ``ceil(k / 8)`` whole 64-bit words, one shift and one OR per
+    field a word holds (a field that straddles two words is split by the
+    shifts), and the plane is the first ``k`` big-endian bytes of each
+    group's words.
     """
-    plane = np.zeros(fields.shape[0] * k, dtype=np.uint8)
-    for column, (first, bit, width) in enumerate(_remainder_columns(k)):
-        window = fields[:, column] << (8 * width - k - bit)
-        for i in range(width):
-            # The uint8 cast keeps the low byte of the shifted window.
-            plane[first + i :: k] |= (window >> (8 * (width - 1 - i))).astype(
-                np.uint8
-            )
-    return plane
+    groups = fields.shape[0]
+    words = np.empty((groups, -(-k // 8)), dtype=">u8")
+    for w in range(words.shape[1]):
+        word = np.zeros(groups, dtype=np.uint64)
+        top = 64 * (w + 1)  # the group bit just past this word
+        for column in range(8):
+            start, stop = column * k, (column + 1) * k
+            if start < top and stop > top - 64:
+                # Put the field's last bit at the word's bit top - stop;
+                # bits shifted past either end belong to the other word.
+                field = fields[:, column]
+                if stop <= top:
+                    word |= np.left_shift(field, top - stop, dtype=np.uint64)
+                else:
+                    word |= np.right_shift(field, stop - top, dtype=np.uint64)
+        words[:, w] = word
+    return words.view(np.uint8)[:, :k].reshape(-1)
 
 
 def _remainder_word(k: int):
@@ -363,9 +388,14 @@ def _unary_planes(
     One ``cumsum`` of ``q + 1`` gives every quotient's end; shifting each
     block by its own byte-aligned start places the terminating zeros of the
     whole set in one scatter, and one ``packbits`` flushes it.  Plane ``b``
-    is ``packed[offsets[b]:offsets[b + 1]]``.
+    is ``packed[offsets[b]:offsets[b + 1]]``.  The quotients are shifted
+    straight into ``intp``, the scatter's own index word: a narrower one
+    costs more in the scatter (NumPy converts the index first) than it
+    saves in the ``cumsum``.
     """
-    ends = _shifted_blocks(flat, bounds, ks).astype(np.int64)
+    ends = np.empty(flat.size, dtype=np.intp)
+    for (start, stop), k in zip(bounds, ks):
+        np.right_shift(flat[start:stop], k, out=ends[start:stop])
     ends += 1
     np.cumsum(ends, out=ends)
     offsets = [0]
@@ -386,30 +416,60 @@ def _unary_planes(
     return np.packbits(bits), offsets
 
 
+def _as_block_word(block) -> np.ndarray:
+    """A block as a flat array in its own word when that is one of
+    :data:`_KEPT_WORDS`, in ``int64`` otherwise."""
+    if isinstance(block, np.ndarray) and block.dtype in _KEPT_WORDS:
+        return block.reshape(-1)
+    return _as_symbol_array(block)
+
+
 def rice_encode_planar_blocks(blocks, k: Optional[int] = None) -> List[bytes]:
     """Encode every block of a frame in the planar layout, in one pass.
 
     Byte-identical to encoding each block on its own: each block gets its
     own cost-minimising parameter (or ``k`` for all of them) and its own
     ``0x80 | k`` / count header, remainder plane and unary plane.  The
+    blocks are laid end to end in the widest of their words (an unsigned
+    block of up to 32 bits keeps its word, anything else is read as
+    ``int64``) and coded by :func:`rice_encode_planar_flat`.
+    """
+    arrays = [_as_block_word(block) for block in blocks]
+    if len(arrays) == 1:
+        flat = arrays[0]
+    elif arrays:
+        flat = np.concatenate(arrays, dtype=np.result_type(*arrays))
+    else:
+        flat = np.zeros(0, dtype=np.int64)
+    return rice_encode_planar_flat(flat, [arr.size for arr in arrays], k)
+
+
+def rice_encode_planar_flat(
+    symbols: np.ndarray, counts: Sequence[int], k: Optional[int] = None
+) -> List[bytes]:
+    """Encode the blocks laid end to end in ``symbols``, ``counts[b]``
+    symbols each, in the planar layout; the batch behind
+    :func:`rice_encode_planar_blocks`.
+
+    The symbols stay in their own word: an unsigned word needs no sign
+    check and no ``int64`` copy, and sums accumulate in ``int64``.  The
     work is batched across blocks: one exact parameter search
     (:func:`_optimal_parameters`), one remainder column pass per distinct
     ``k`` (:func:`_remainder_planes`) and one unary pass for the whole set
     (:func:`_unary_planes`).
     """
-    arrays = [_as_symbol_array(block) for block in blocks]
-    counts = [arr.size for arr in arrays]
-    if len(arrays) == 1:
-        flat = arrays[0]
-    else:
-        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
-    _check_non_negative(flat)
+    flat = _as_block_word(symbols)
+    if flat.dtype.kind != "u":
+        _check_non_negative(flat)
+    counts = [int(n) for n in counts]
+    if min(counts, default=0) < 0 or sum(counts) != flat.size:
+        raise ValueError(f"block counts {counts} do not split {flat.size} symbols")
     bounds = _block_bounds(counts)
     if k is None:
         ks = _optimal_parameters(flat, bounds)
     else:
         _check_parameter(k)
-        ks = [k] * len(arrays)
+        ks = [k] * len(counts)
     headers = [
         bytes((PLANAR_FLAG | kb,)) + n.to_bytes(4, "big") for kb, n in zip(ks, counts)
     ]

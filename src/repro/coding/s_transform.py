@@ -35,7 +35,7 @@ from .mapper import zigzag_decode
 from .rice import (
     rice_decode_planar_blocks,
     rice_decode_scalar,
-    rice_encode_planar_blocks,
+    rice_encode_planar_flat,
     rice_encode_planar_scalar,
 )
 
@@ -250,9 +250,10 @@ def _lifting_word(bit_depth: int) -> type:
     return np.int16 if bit_depth <= 14 else np.int32
 
 
-def _zigzag_word(band: np.ndarray) -> np.ndarray:
+def _zigzag_word(band: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """:func:`~repro.coding.mapper.zigzag_encode` of a band, flat, in the
-    unsigned word of the band's own width.
+    unsigned word of the band's own width, or written into ``out`` (a flat
+    unsigned array of the band's size, at least as wide as the band).
 
     Zig-zag maps the ``n``-bit signed integers one to one onto the ``n``-bit
     unsigned ones, so the fold is exact in any width: ``(v << 1) ^ (v >>
@@ -262,11 +263,31 @@ def _zigzag_word(band: np.ndarray) -> np.ndarray:
     band = np.asarray(band)
     if band.dtype.kind != "i":
         band = band.astype(np.int64)
-    unsigned = np.dtype(f"u{band.itemsize}")
-    symbols = np.left_shift(band.view(unsigned), 1)
+    if out is None:
+        out = np.empty(band.size, dtype=f"u{band.itemsize}")
+    elif out.itemsize != band.itemsize:
+        band = band.astype(f"i{out.itemsize}")
+    symbols = out.reshape(band.shape)
+    np.left_shift(band.view(out.dtype), 1, out=symbols)
     sign = np.right_shift(band, 8 * band.itemsize - 1)
-    np.bitwise_xor(symbols, sign.view(unsigned), out=symbols)
-    return symbols.reshape(-1)
+    np.bitwise_xor(symbols, sign.view(out.dtype), out=symbols)
+    return out
+
+
+def _zigzag_bands(bands: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[int]]:
+    """Every band's :func:`_zigzag_word` symbols, laid end to end in one
+    buffer of the widest band's unsigned word, and the band sizes."""
+    bands = [np.asarray(band) for band in bands]
+    width = max(
+        (band.itemsize if band.dtype.kind == "i" else 8 for band in bands), default=8
+    )
+    counts = [band.size for band in bands]
+    symbols = np.empty(sum(counts), dtype=f"u{width}")
+    offset = 0
+    for band in bands:
+        _zigzag_word(band, out=symbols[offset : offset + band.size])
+        offset += band.size
+    return symbols, counts
 
 
 @dataclass
@@ -353,7 +374,7 @@ class STransformCodec:
         bands = [("HH", self.scales, pyramid.approximation)]
         for scale_index, details in enumerate(pyramid.details, start=1):
             bands.extend((kind, scale_index, band) for kind, band in details.items())
-        payloads = self._rice_encode_blocks([_zigzag_word(band) for *_, band in bands])
+        payloads = self._rice_encode(*_zigzag_bands([band for *_, band in bands]))
         for (kind, scale, band), payload in zip(bands, payloads):
             compressed.chunks[(kind, scale)] = payload
             compressed.shapes[(kind, scale)] = (int(band.shape[0]), int(band.shape[1]))
@@ -430,10 +451,14 @@ class STransformCodec:
             ((kind, scale, shape) for (kind, scale), shape in compressed.shapes.items()),
         )
 
-    def _rice_encode_blocks(self, blocks: List[np.ndarray]) -> List[bytes]:
+    def _rice_encode(self, symbols: np.ndarray, counts: List[int]) -> List[bytes]:
+        """The Rice blocks of the bands laid end to end in ``symbols``."""
         if self.engine == "scalar":
-            return [rice_encode_planar_scalar(block) for block in blocks]
-        return rice_encode_planar_blocks(blocks)
+            return [
+                rice_encode_planar_scalar(block)
+                for block in np.split(symbols, np.cumsum(counts)[:-1])
+            ]
+        return rice_encode_planar_flat(symbols, counts)
 
     def _rice_decode_blocks(self, payloads: List[bytes]) -> Iterator[np.ndarray]:
         """The decoded blocks in order.  The scalar tier decodes each one as

@@ -16,10 +16,39 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["ScaleDetails", "WaveletPyramid", "check_band_shapes"]
+__all__ = [
+    "MAX_FRAME_PIXELS",
+    "ScaleDetails",
+    "WaveletPyramid",
+    "check_band_shapes",
+    "check_image_shape",
+]
 
 #: The three detail orientations in the naming of the paper.
 DETAIL_KEYS: Tuple[str, str, str] = ("HG", "GH", "GG")
+
+
+#: The largest frame, in pixels, that the library reads or writes (8192 x
+#: 8192, 128 MiB at the ingest wire's 2 bytes a pixel).  A stream stores
+#: its rows and columns as 32-bit fields, and the decoders size the image
+#: and its bands from them, so this ceiling is what bounds a decode.
+MAX_FRAME_PIXELS = 1 << 26
+
+
+def check_image_shape(image_shape: Tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``image_shape`` holds at most
+    :data:`MAX_FRAME_PIXELS` pixels (and neither side is negative or above
+    it on its own)."""
+    height, width = (int(size) for size in image_shape)
+    if not (
+        0 <= height <= MAX_FRAME_PIXELS
+        and 0 <= width <= MAX_FRAME_PIXELS
+        and height * width <= MAX_FRAME_PIXELS
+    ):
+        raise ValueError(
+            f"image shape {height}x{width} exceeds the {MAX_FRAME_PIXELS}-pixel "
+            "frame ceiling"
+        )
 
 
 def check_band_shapes(
@@ -27,14 +56,17 @@ def check_band_shapes(
     scales: int,
     bands: Iterable[Tuple[str, int, Tuple[int, int]]],
 ) -> None:
-    """Raise ``ValueError`` unless every ``(kind, scale, shape)`` band fits
+    """Raise ``ValueError`` unless the image is within the frame ceiling
+    (:func:`check_image_shape`) and every ``(kind, scale, shape)`` band fits
     the dyadic pyramid of an ``image_shape`` image over ``scales`` scales.
 
     A scale-``j`` band of an ``h x w`` image is ``(h >> j, w >> j)``, with
     ``j`` in ``1..scales``.  Decoders check a stream's declared band shapes
     with this before any entropy decode sizes a band from them, so a
-    doctored shape fails in time and memory bounded by the stream itself.
+    doctored shape fails in time and memory bounded by the stream itself,
+    and a huge image with consistent bands fails at the ceiling.
     """
+    check_image_shape(image_shape)
     height, width = image_shape
     for kind, scale, shape in bands:
         if not 1 <= scale <= scales:

@@ -11,19 +11,29 @@ stay readable for read-compat, so their hostile headers and truncations
 are checked here too, against the bit-by-bit reference.  An RLE run
 stream's lengths are checked against its band's shape before any band is
 sized from them, and every band's declared shape is checked against the
-image geometry before any decoder sizes a band from it.
+image geometry before any decoder sizes a band from it.  The image
+geometry itself is held to the frame ceiling (``MAX_FRAME_PIXELS``) by
+the payload parsers, the codecs and the writer alike.
 """
 
 import dataclasses
+import struct
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.archive import ArchiveReader, ArchiveWriter
+from repro.archive.format import ArchiveFormatError
 from repro.archive.serialize import (
+    PAYLOAD_HEAD_SIZE,
     _serialize_frame_major,
     deserialize_stream,
+    is_subband_major,
+    parse_section_table,
+    payload_spec,
     serialize_stream,
 )
 from repro.coding.codec import LosslessWaveletCodec
@@ -35,7 +45,7 @@ from repro.coding.rice import (
     rice_encode_planar,
 )
 from repro.coding.s_transform import STransformCodec
-
+from repro.dwt.subbands import check_image_shape
 from repro.imaging.phantoms import shepp_logan
 
 DECODERS = {
@@ -307,3 +317,183 @@ def test_declared_band_shape_is_checked_before_decode(hostile_band_stream, layou
     _assert_bounded_failure(ValueError, codec.decode_pyramid, stored)
     for at_scale in (0, 2):
         _assert_bounded_failure(ValueError, codec.decode_preview, stored, at_scale)
+
+
+# -- Declared image shape ---------------------------------------------------------------
+
+#: A side well past the frame ceiling (32768**2 = 2**30 pixels), in a
+#: stream whose every band agrees with it: each coefficient detail band is
+#: one run of zeros, and the 6-scale HH band holds its 512**2 zero symbols.
+#: Decoding it as declared would size 8 GiB arrays from ~33 KiB of bytes.
+HUGE_SIDE = 1 << 15
+CEILING_SIDE = 1 << 13  # 8192**2 is MAX_FRAME_PIXELS exactly
+
+
+def _consistent_stream(codec_name, side, scales=6):
+    """A stream whose bands all fit a ``side x side`` image."""
+    image = shepp_logan(64)
+    if codec_name == "coefficient":
+        stream = LosslessWaveletCodec("F2", scales=scales, use_rle=True).encode(image)
+        chunks = []
+        for chunk in stream.chunks:
+            shape = (side >> chunk.scale, side >> chunk.scale)
+            pixels = shape[0] * shape[1]
+            if chunk.kind == "HH":
+                zeros = np.zeros(pixels, dtype=np.uint8)
+                chunk = dataclasses.replace(
+                    chunk, shape=shape, payload=rice_encode_planar(zeros, k=0)
+                )
+            else:
+                chunk = dataclasses.replace(
+                    chunk,
+                    shape=shape,
+                    payload=rice_encode_planar([]),
+                    run_payload=rice_encode_planar([pixels]),
+                )
+            chunks.append(chunk)
+        return dataclasses.replace(stream, chunks=chunks, image_shape=(side, side))
+    stream = STransformCodec(scales=scales).encode(image)
+    stream.image_shape = (side, side)
+    for kind, scale in stream.shapes:
+        stream.shapes[(kind, scale)] = (side >> scale, side >> scale)
+    return stream
+
+
+def _codec_for(codec_name, engine, scales=6):
+    if codec_name == "coefficient":
+        return LosslessWaveletCodec("F2", scales=scales, use_rle=True, engine=engine)
+    return STransformCodec(scales=scales, engine=engine)
+
+
+@pytest.fixture(scope="module", params=["coefficient", "s-transform"])
+def huge_stream(request):
+    return request.param, _consistent_stream(request.param, HUGE_SIDE)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+def test_image_shape_above_the_ceiling_fails_before_decode(huge_stream, engine):
+    codec_name, stream = huge_stream
+    codec = _codec_for(codec_name, engine)
+    for call, *args in (
+        (codec.decode,),
+        (codec.decode_pyramid,),
+        (codec.decode_preview, 0),
+        (codec.decode_preview, 5),
+    ):
+        with pytest.raises(ValueError, match="frame ceiling"):
+            call(stream, *args)
+        _assert_bounded_failure(ValueError, call, stream, *args)
+
+
+def test_the_ceiling_is_the_servers_ingest_cap():
+    from repro.archive import server
+    from repro.dwt import subbands
+
+    assert server.MAX_FRAME_PIXELS is subbands.MAX_FRAME_PIXELS
+    assert CEILING_SIDE * CEILING_SIDE == subbands.MAX_FRAME_PIXELS
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(CEILING_SIDE, CEILING_SIDE), (1, 1 << 26), (1 << 26, 1), (0, 0), (64, 64)],
+)
+def test_shapes_within_the_ceiling_pass(shape):
+    check_image_shape(shape)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (CEILING_SIDE, CEILING_SIDE + 1),
+        (CEILING_SIDE + 1, CEILING_SIDE),
+        (1 << 26 | 1, 1),
+        (0xFFFFFFFF, 0),
+        (0xFFFFFFFF, 0xFFFFFFFF),
+        (-1, 64),
+    ],
+)
+def test_shapes_above_the_ceiling_fail(shape):
+    with pytest.raises(ValueError, match="frame ceiling"):
+        check_image_shape(shape)
+
+
+def _with_geometry(payload, rows, columns):
+    """``payload`` with its prologue's rows and columns rewritten (and a
+    subband-major table's CRC restamped, so only the geometry is wrong)."""
+    data = bytearray(payload)
+    if is_subband_major(payload):
+        meta_start = PAYLOAD_HEAD_SIZE
+        (meta_len,) = struct.unpack_from("<I", data, 5)
+    else:
+        meta_start = 4
+    # The prologue: codec id (u8), scales (u8), rows (u32), columns (u32).
+    struct.pack_into(">II", data, meta_start + 2, rows, columns)
+    if is_subband_major(payload):
+        meta = bytes(data[meta_start : meta_start + meta_len])
+        struct.pack_into("<I", data, meta_start + meta_len, zlib.crc32(meta))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module", params=["coefficient", "s-transform"])
+def small_stream(request):
+    return request.param, _consistent_stream(request.param, 64, scales=3)
+
+
+MINTS = {"frame-major": _serialize_frame_major, "subband-major": serialize_stream}
+
+
+@pytest.mark.parametrize("layout", sorted(MINTS))
+@pytest.mark.parametrize(
+    "shape", [(HUGE_SIDE, HUGE_SIDE), (0xFFFFFFFF, 0xFFFFFFFF), (1, 1 << 26 | 1)]
+)
+def test_payload_geometry_above_the_ceiling_is_a_format_error(
+    small_stream, layout, shape
+):
+    _, stream = small_stream
+    payload = _with_geometry(MINTS[layout](stream), *shape)
+    parsers = [deserialize_stream, payload_spec]
+    if layout == "subband-major":
+        parsers.append(parse_section_table)
+    for parse in parsers:
+        with pytest.raises(ArchiveFormatError, match="frame ceiling"):
+            parse(payload)
+        _assert_bounded_failure(ArchiveFormatError, parse, payload)
+
+
+@pytest.mark.parametrize("layout", sorted(MINTS))
+def test_a_table_at_the_ceiling_still_parses(small_stream, layout):
+    codec_name, stream = small_stream
+    payload = _with_geometry(MINTS[layout](stream), CEILING_SIDE, CEILING_SIDE)
+    if layout == "subband-major":
+        table = parse_section_table(payload)
+        assert table.image_shape == (CEILING_SIDE, CEILING_SIDE)
+    assert payload_spec(payload) == payload_spec(MINTS[layout](stream))
+    stored = deserialize_stream(payload)
+    assert stored.image_shape == (CEILING_SIDE, CEILING_SIDE)
+    # Its 64x64 bands do not fit an 8192x8192 image: the band check, not
+    # the ceiling, rejects it, before anything is decoded.
+    codec = _codec_for(codec_name, "fast", scales=3)
+    _assert_bounded_failure(ValueError, codec.decode, stored)
+
+
+@pytest.mark.parametrize("layout", sorted(MINTS))
+def test_the_writer_refuses_a_geometry_no_reader_accepts(
+    small_stream, layout, tmp_path
+):
+    codec_name, stream = small_stream
+    at_ceiling = dataclasses.replace(stream, image_shape=(CEILING_SIDE, CEILING_SIDE))
+    assert parse_section_table(serialize_stream(at_ceiling)).image_shape == (
+        CEILING_SIDE,
+        CEILING_SIDE,
+    )
+    above = dataclasses.replace(stream, image_shape=(CEILING_SIDE + 1, CEILING_SIDE))
+    with pytest.raises(ValueError, match="frame ceiling"):
+        MINTS[layout](above)
+    path = tmp_path / "refused.dwta"
+    with ArchiveWriter.create(path, codec=codec_name, scales=3) as writer:
+        with pytest.raises(ValueError, match="frame ceiling"):
+            writer.add_stream(above, "too-big")
+        assert writer.frame_names == []
+        writer.add_stream(stream, "fits")
+    with ArchiveReader(path) as reader:
+        assert [entry.name for entry in reader.frames] == ["fits"]

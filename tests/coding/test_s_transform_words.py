@@ -1,8 +1,9 @@
 """The S-transform codec lifts in the narrowest word its bit depth allows.
 
 ``STransformCodec.forward_transform`` lifts in place in ``int16`` up to
-14-bit pixels and in ``int32`` for 15 and 16 bits, and zig-zags each band
-straight into the unsigned word of the same width.  The reference here is
+14-bit pixels and in ``int32`` for 15 and 16 bits, and ``encode_pyramid``
+zig-zags each band straight into its slice of one symbol buffer in the
+unsigned word of the same width, which the Rice coder takes whole.  The reference here is
 the plain ``int64`` lifting (transposed 1-D steps, ``int64`` zig-zag): the
 narrow pyramid must equal it value for value and the stored bytes must not
 change.  The 0/max checkerboard drives the GG band to its bound,
@@ -18,6 +19,7 @@ from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import rice_encode_planar_blocks, rice_encode_planar_scalar
 from repro.coding.s_transform import (
     CompressedSImage,
+    _zigzag_bands,
     s_transform_forward_1d,
     s_transform_forward_2d,
 )
@@ -119,6 +121,35 @@ def test_the_stored_bytes_equal_the_int64_path(image_name, bit_depth):
         assert stream.chunks == reference.chunks
         assert serialize_stream(stream) == serialize_stream(reference)
         np.testing.assert_array_equal(codec.decode(stream), image)
+
+
+@pytest.mark.parametrize("bit_depth", range(1, 17))
+def test_encode_pyramid_codes_the_symbol_buffer_like_the_int64_path(bit_depth):
+    """``encode_pyramid`` zig-zags every band into one buffer of the lifting
+    word and hands it to the Rice coder whole: the bytes are those of the
+    ``int64`` bands, at every bit depth and scale."""
+    for image_name in sorted(IMAGES):
+        image = IMAGES[image_name](bit_depth)
+        for scales in SCALES:
+            codec = STransformCodec(scales=scales, bit_depth=bit_depth, engine="fast")
+            stream = codec.encode_pyramid(codec.forward_transform(image), image.shape)
+            reference = _int64_stream(image, scales, bit_depth, "fast")
+            assert stream.chunks == reference.chunks, (image_name, scales)
+
+
+def test_the_symbol_buffer_is_one_word_end_to_end():
+    bands = [
+        np.array([[0, -1], [1, -32768]], dtype=np.int16),
+        np.array([[7, -7]], dtype=np.int16),
+        np.array([], dtype=np.int16).reshape(0, 2),
+    ]
+    symbols, counts = _zigzag_bands(bands)
+    assert symbols.dtype == np.uint16 and counts == [4, 2, 0]
+    assert symbols.tolist() == [0, 1, 2, 0xFFFF, 14, 13]
+    # A wider band widens the buffer; each band keeps its zig-zag value.
+    symbols, _ = _zigzag_bands(bands[:1] + [np.array([[1 << 20]], dtype=np.int32)])
+    assert symbols.dtype == np.uint32
+    assert symbols.tolist() == [0, 1, 2, 0xFFFF, 1 << 21]
 
 
 @pytest.mark.parametrize("bit_depth", DEPTHS)
