@@ -169,7 +169,9 @@ def _pyramid_blocks():
     The s-transform bands appear twice: widened to ``int64`` by
     :func:`zigzag_encode`, and in the lifting word the codec's own
     ``_zigzag_word`` hands the coder on the ingest path (``uint16`` for
-    12-bit pixels)."""
+    12-bit pixels).  The coefficient pyramid appears twice too: all 25
+    blocks, and the blocks its ``encode_pyramid`` hands the coder, which
+    leaves out each zero-free band's run block (written from its count)."""
     s_image = ct_slice_series(count=1, size=256, seed=1)[0]
     s_pyramid = STransformCodec(scales=4).forward_transform(s_image)
     s_bands = [s_pyramid.approximation] + [
@@ -183,10 +185,22 @@ def _pyramid_blocks():
         for band in entry.as_dict().values():
             runs, literals = rle_encode_arrays(band)
             c_blocks += [zigzag_encode(literals), runs]
+    c_bands = [(c_pyramid.approximation, False)] + [
+        (band, True)
+        for entry in reversed(c_pyramid.details)
+        for band in entry.as_dict().values()
+    ]
+    codec_blocks = [
+        block
+        for band, use_rle in c_bands
+        for block in codec._band_blocks(band, use_rle)
+        if isinstance(block, np.ndarray)
+    ]
     return {
         "s_transform_256": [zigzag_encode(band.ravel()) for band in s_bands],
         "s_transform_256_words": [_zigzag_word(band) for band in s_bands],
         "coefficient_128": c_blocks,
+        "coefficient_128_codec": codec_blocks,
     }
 
 

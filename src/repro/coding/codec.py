@@ -40,17 +40,20 @@ from ..fixedpoint.wordlength import WordLengthPlan, plan_word_lengths
 from ..fxdwt.transform import FixedPointDWT, FixedPointPyramid
 from .mapper import zigzag_decode, zigzag_encode
 from .rice import (
+    is_rice_zero_block,
     rice_declared_count,
     rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode_planar_flat,
     rice_encode_planar_scalar,
+    rice_zero_block,
 )
 from .rle import (
     LITERAL,
     ZERO_RUN,
     RleEvent,
     check_rle_size,
+    check_zero_free_size,
     events_to_arrays,
     rle_decode,
     rle_decode_arrays,
@@ -160,7 +163,12 @@ class LosslessWaveletCodec:
     use_rle:
         Whether to run zero run-length coding before the Rice coder on the
         detail subbands (the approximation subband is never run-length coded,
-        it has essentially no zeros).
+        it has essentially no zeros).  A zero-free detail band (every band
+        of a CT slice, whose coefficients keep their fractional bits)
+        carries the canonical run block of one literal marker per pixel,
+        :func:`~repro.coding.rice.rice_zero_block`: the fast tier writes it
+        from the band's pixel count and reads such a band as its literals,
+        coding and decoding no run symbol.
     plan:
         Optional word-length plan override for the underlying transform.
     engine:
@@ -236,15 +244,21 @@ class LosslessWaveletCodec:
             )
         # Every band's Rice blocks are coded in one batch: the (zig-zagged)
         # literals of each band, then its run stream if it is RLE coded,
-        # laid end to end.  The per-band blocks go before the coder runs,
-        # so the batch holds one copy of the frame's symbols, not two.
-        blocks: List[np.ndarray] = []
+        # laid end to end.  A block already written (a zero-free band's
+        # run block) stays out of the batch.  The per-band arrays go
+        # before the coder runs, so the batch holds one copy of the
+        # frame's symbols, not two.
+        blocks: List[np.ndarray | bytes] = []
         for _, _, band, use_rle in bands:
             blocks.extend(self._band_blocks(band, use_rle))
-        counts = [block.size for block in blocks]
-        symbols = np.concatenate(blocks)
+        arrays = [block for block in blocks if isinstance(block, np.ndarray)]
+        counts = [array.size for array in arrays]
+        symbols = np.concatenate(arrays)
+        del arrays
+        written = [block if isinstance(block, bytes) else None for block in blocks]
         del blocks
-        payloads = iter(self._rice_encode(symbols, counts))
+        coded = iter(self._rice_encode(symbols, counts))
+        payloads = iter([next(coded) if block is None else block for block in written])
         for kind, scale, band, use_rle in bands:
             compressed.chunks.append(
                 SubbandChunk(
@@ -301,8 +315,15 @@ class LosslessWaveletCodec:
         while blocks:
             yield blocks.pop()
 
-    def _band_blocks(self, band: np.ndarray, use_rle: bool) -> List[np.ndarray]:
-        """The Rice blocks of one band: its symbols, or literals then runs."""
+    def _band_blocks(
+        self, band: np.ndarray, use_rle: bool
+    ) -> List[np.ndarray | bytes]:
+        """The Rice blocks of one band: its symbols, or literals then runs.
+
+        On the fast tier a zero-free band's run stream (one literal marker
+        per pixel) comes back as its written block,
+        :func:`~repro.coding.rice.rice_zero_block`.
+        """
         flat = np.asarray(band, dtype=np.int64).ravel()
         if not use_rle:
             return [zigzag_encode(flat)]
@@ -312,6 +333,8 @@ class LosslessWaveletCodec:
         # unambiguously marks the next literal.
         if self.engine == "scalar":
             run_symbols, literals = events_to_arrays(rle_encode(flat))
+        elif flat.all():
+            return [zigzag_encode(flat), rice_zero_block(flat.size)]
         else:
             run_symbols, literals = rle_encode_arrays(flat)
         return [zigzag_encode(literals), run_symbols]
@@ -376,7 +399,10 @@ class LosslessWaveletCodec:
 
         Every Rice block they need (each band's literals, then its run
         stream if it is RLE coded) is decoded in one batch, as
-        :meth:`encode_pyramid` codes them.
+        :meth:`encode_pyramid` codes them.  On the fast tier a run stream
+        that is the canonical block of one literal marker per pixel
+        (:func:`~repro.coding.rice.rice_zero_block`) is not decoded: its
+        band is its literals.
         """
         chunks = [compressed.chunk("HH", self.scales)] + [
             compressed.chunk(kind, scale)
@@ -386,16 +412,17 @@ class LosslessWaveletCodec:
         for chunk in chunks:
             if chunk.use_rle:
                 _check_rle_counts(chunk)
+        runs_coded = [self._runs_coded(chunk) for chunk in chunks]
         payloads: List[bytes] = []
-        for chunk in chunks:
+        for chunk, coded in zip(chunks, runs_coded):
             payloads.append(chunk.payload)
-            if chunk.use_rle:
+            if coded:
                 payloads.append(chunk.run_payload)
         symbols = self._rice_decode_blocks(payloads)
         bands = iter(
             [
-                self._band(chunk, next(symbols), next(symbols) if chunk.use_rle else None)
-                for chunk in chunks
+                self._band(chunk, next(symbols), next(symbols) if coded else None)
+                for chunk, coded in zip(chunks, runs_coded)
             ]
         )
         approximation = next(bands)
@@ -405,16 +432,33 @@ class LosslessWaveletCodec:
         ]
         return approximation, details
 
+    def _runs_coded(self, chunk: SubbandChunk) -> bool:
+        """Whether ``chunk``'s run stream goes through the Rice decoder:
+        every RLE chunk's on the scalar tier, and on the fast tier every
+        one but a canonical zero-run block."""
+        if not chunk.use_rle:
+            return False
+        return self.engine == "scalar" or not is_rice_zero_block(
+            chunk.run_payload, chunk.shape[0] * chunk.shape[1]
+        )
+
     def _band(
         self,
         chunk: SubbandChunk,
         symbols: np.ndarray,
         run_symbols: Optional[np.ndarray],
     ) -> np.ndarray:
-        """One band from its decoded literal symbols and run stream."""
-        if chunk.use_rle:
+        """One band from its decoded literal symbols and run stream (``None``
+        for an RLE band whose run stream is the canonical zero-run block)."""
+        pixels = chunk.shape[0] * chunk.shape[1]
+        if not chunk.use_rle:
+            flat = zigzag_decode(symbols)
+        elif run_symbols is None:
+            check_zero_free_size(symbols.size, pixels)
+            flat = zigzag_decode(symbols)
+        else:
             literals = zigzag_decode(symbols)
-            check_rle_size(run_symbols, literals.size, chunk.shape[0] * chunk.shape[1])
+            check_rle_size(run_symbols, literals.size, pixels)
             if self.engine != "scalar":
                 flat = rle_decode_arrays(run_symbols, literals)
             else:
@@ -427,8 +471,6 @@ class LosslessWaveletCodec:
                         events.append(RleEvent(LITERAL, int(literals[literal_index])))
                         literal_index += 1
                 flat = rle_decode(events)
-        else:
-            flat = zigzag_decode(symbols)
         return np.asarray(flat, dtype=np.int64).reshape(chunk.shape)
 
     # -- convenience -----------------------------------------------------------------------

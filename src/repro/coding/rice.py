@@ -82,6 +82,8 @@ __all__ = [
     "rice_encode_scalar",
     "rice_decode_scalar",
     "is_planar_block",
+    "is_rice_zero_block",
+    "rice_zero_block",
     "rice_declared_count",
     "rice_code_length",
     "rice_cost_matrix",
@@ -678,6 +680,28 @@ def rice_declared_count(data) -> Optional[int]:
     if len(data) < _HEADER_BYTES:
         return None
     return int.from_bytes(data[1:_HEADER_BYTES], "big")
+
+
+def rice_zero_block(count: int) -> bytes:
+    """The planar block of ``count`` zero symbols, written from its count.
+
+    Every encoder picks ``k = 0`` for an all-zero block (the smallest of
+    the tied parameters), so the block is ``0x80``, the count, an empty
+    remainder plane and a unary plane of ``count`` terminating zeros: the
+    bytes :func:`rice_encode_planar` writes for ``[0] * count``.
+    """
+    return bytes((PLANAR_FLAG,)) + count.to_bytes(4, "big") + bytes(-(-count // 8))
+
+
+def is_rice_zero_block(data, count: int) -> bool:
+    """Whether ``data`` is exactly :func:`rice_zero_block` of ``count``.
+
+    The length is compared first, so a declared ``count`` larger than the
+    block never sizes an allocation.
+    """
+    if len(data) != _HEADER_BYTES + -(-count // 8):
+        return False
+    return data == rice_zero_block(count)
 
 
 def is_planar_block(data) -> bool:

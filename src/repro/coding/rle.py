@@ -37,6 +37,7 @@ __all__ = [
     "rle_encode_arrays",
     "rle_decode_arrays",
     "check_rle_size",
+    "check_zero_free_size",
 ]
 
 #: Event kinds.
@@ -116,15 +117,11 @@ def rle_encode_arrays(
     :func:`rle_encode` emits them: a positive value is a zero run of that
     length, a zero marks the next literal (a literal of value 0 never occurs,
     zeros always join runs).  ``literal_values`` are the signed literals in
-    order.  A zero-free ``values`` (the coefficient codec's detail bands of
-    a CT slice, whose coefficients keep their fractional bits) is one
-    literal marker per value, returned without the run bookkeeping.
+    order.
     """
     if max_run < 1:
         raise ValueError("max_run must be >= 1")
     x = np.asarray(values, dtype=np.int64).ravel()
-    if x.all():
-        return np.zeros(x.size, dtype=np.int64), x.copy()
     nonzero = np.flatnonzero(x)
     literals = x[nonzero]
     # Zeros before each literal, and after the last one.
@@ -148,20 +145,10 @@ def rle_encode_arrays(
 
 
 def rle_decode_arrays(run_symbols: np.ndarray, literal_values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rle_encode_arrays`.
-
-    A run stream of literal markers only (a zero-free band) decodes to the
-    literals themselves, once their count matches the markers.
-    """
+    """Inverse of :func:`rle_encode_arrays`."""
     runs = np.asarray(run_symbols, dtype=np.int64).ravel()
     literals = np.asarray(literal_values, dtype=np.int64).ravel()
-    if not runs.any():
-        if runs.size != literals.size:
-            raise ValueError(
-                f"run stream expects {runs.size} literals, got {literals.size}"
-            )
-        return literals.copy()
-    if int(runs.min()) < 0:
+    if runs.size and int(runs.min()) < 0:
         raise ValueError("zero runs must have length >= 1")
     lengths = np.where(runs > 0, runs, 1)
     ends = np.cumsum(lengths)
@@ -189,7 +176,16 @@ def check_rle_size(run_symbols: np.ndarray, literal_count: int, size: int) -> No
     if runs.size and (int(runs.min()) < 0 or int(runs.max()) > size):
         raise ValueError(f"RLE run stream holds a run outside [0, {size}]")
     markers = runs.size - int(np.count_nonzero(runs))
-    total = int(runs.sum()) + markers
+    _check_rle_fill(int(runs.sum()) + markers, markers, literal_count, size)
+
+
+def check_zero_free_size(literal_count: int, size: int) -> None:
+    """:func:`check_rle_size` of a run stream of ``size`` literal markers
+    (a zero-free band), checked without the stream."""
+    _check_rle_fill(size, size, literal_count, size)
+
+
+def _check_rle_fill(total: int, markers: int, literal_count: int, size: int) -> None:
     if total != size or markers != literal_count:
         raise ValueError(
             f"RLE streams decode to {total} values with {markers} literal "

@@ -117,9 +117,9 @@ class FxArray:
     # -- range handling -----------------------------------------------------------
     def fits(self) -> bool:
         """True if every stored value is inside the format's range."""
-        return bool(
-            (self.stored >= self.fmt.min_int).all()
-            and (self.stored <= self.fmt.max_int).all()
+        stored = self.stored
+        return not stored.size or bool(
+            self.fmt.min_int <= stored.min() and stored.max() <= self.fmt.max_int
         )
 
     def check_range(self, policy: str = "raise") -> "FxArray":

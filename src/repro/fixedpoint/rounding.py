@@ -15,7 +15,7 @@ an arithmetic shift) for comparison experiments.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,42 +28,70 @@ __all__ = [
 
 IntOrArray = Union[int, np.ndarray]
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-def round_half_up_shift(value: IntOrArray, shift: int) -> IntOrArray:
+
+def round_half_up_shift(
+    value: IntOrArray, shift: int, out: Optional[np.ndarray] = None
+) -> IntOrArray:
     """Drop ``shift`` low-order bits with the paper's §4.3 rounding rule.
 
     Equivalent to ``floor(value / 2**shift + 0.5)`` computed exactly on
     integers: add half of the dropped weight, then arithmetic-shift right.
     Works on Python ints (arbitrary precision) and NumPy integer arrays.
+    An array's result is an ``int64`` array, written to ``out`` when given
+    (which may be ``value`` itself): ``(v + half) >> shift`` in place when
+    no value is within ``half`` of the top of ``int64``, the decomposed
+    form with one scratch array for the rounding carry otherwise.
     """
     if shift < 0:
         raise ValueError("shift must be non-negative")
+    if not isinstance(value, np.ndarray):
+        if shift == 0:
+            return value
+        return (int(value) + (1 << (shift - 1))) >> shift
+    if out is None:
+        out = np.empty(value.shape, dtype=np.int64)
     if shift == 0:
-        return value
-    if isinstance(value, np.ndarray):
-        if shift > 62:
-            # Mask arithmetic below needs 2**shift to fit in int64; this
-            # range is exact (and rare enough to take the slow path).
-            flat = [round_half_up_shift(int(v), shift) for v in value.ravel().tolist()]
-            return np.array(flat, dtype=np.int64).reshape(value.shape)
-        # Decomposed so the addition cannot wrap at the int64 boundary
-        # (v + half can; (v mod 2**shift) + half is < 2**shift + 2**(shift-1)):
-        # floor((v + h) / 2**s) == (v >> s) + (((v mod 2**s) + h) >> s).
-        s = np.int64(shift)
-        half = np.int64(1) << np.int64(shift - 1)
-        mask = (np.int64(1) << s) - np.int64(1)
-        return (value >> s) + (((value & mask) + half) >> s)
-    return (int(value) + (1 << (shift - 1))) >> shift
+        np.copyto(out, value)
+        return out
+    if shift > 62:
+        # Mask arithmetic below needs 2**shift to fit in int64; this
+        # range is exact (and rare enough to take the slow path).
+        flat = [round_half_up_shift(int(v), shift) for v in value.ravel().tolist()]
+        np.copyto(out, np.array(flat, dtype=np.int64).reshape(value.shape))
+        return out
+    s = np.int64(shift)
+    half = np.int64(1) << np.int64(shift - 1)
+    if not value.size or value.max() <= _INT64_MAX - half:
+        # No value is within ``half`` of the top: v + half cannot wrap.
+        np.add(value, half, out=out)
+        out >>= s
+        return out
+    # Decomposed so the addition cannot wrap at the int64 boundary
+    # (v + half can; (v mod 2**shift) + half is < 2**shift + 2**(shift-1)):
+    # floor((v + h) / 2**s) == (v >> s) + (((v mod 2**s) + h) >> s).
+    carry = np.bitwise_and(value, (np.int64(1) << s) - np.int64(1))
+    carry += half
+    carry >>= s
+    np.right_shift(value, s, out=out)
+    out += carry
+    return out
 
 
-def truncate_shift(value: IntOrArray, shift: int) -> IntOrArray:
-    """Drop ``shift`` low-order bits by truncation (arithmetic shift right)."""
+def truncate_shift(
+    value: IntOrArray, shift: int, out: Optional[np.ndarray] = None
+) -> IntOrArray:
+    """Drop ``shift`` low-order bits by truncation (arithmetic shift right).
+
+    For an array, ``out`` (which may be ``value`` itself) takes the result.
+    """
     if shift < 0:
         raise ValueError("shift must be non-negative")
-    if shift == 0:
+    if shift == 0 and out is None:
         return value
     if isinstance(value, np.ndarray):
-        return value >> np.int64(shift)
+        return np.right_shift(value, np.int64(shift), out=out)
     return int(value) >> shift
 
 

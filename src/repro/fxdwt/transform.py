@@ -335,12 +335,17 @@ class FixedPointDWT:
         return shift
 
     def _narrow(self, acc: np.ndarray, shift: int, target: QFormat) -> np.ndarray:
+        """Align the accumulator ``acc`` into ``target`` (Fig. 3 Alignment).
+
+        ``acc`` is rounded in place, so it must be an array the pass
+        allocated, never one the caller handed in.
+        """
         if self.rounding == "half_up":
-            out = round_half_up_shift(acc, shift)
+            round_half_up_shift(acc, shift, out=acc)
         else:
-            out = truncate_shift(acc, shift)
+            truncate_shift(acc, shift, out=acc)
         # "wrap" returns a new array, so take the checked one back.
-        return FxArray(out, target).check_range(self.overflow_policy).stored
+        return FxArray(acc, target).check_range(self.overflow_policy).stored
 
     def _analysis_pass(
         self,
@@ -546,6 +551,9 @@ class FixedPointDWT:
         # The stored value's magnitude is bounded by the scale's integer
         # part, so the narrowed integers fit b_int(k) bits exactly.
         target = QFormat(word_length=fmt.integer_bits, integer_bits=fmt.integer_bits)
+        if at_scale == self.scales:
+            # No synthesis ran: ``data`` is the caller's approximation.
+            data = data.copy()
         return self._narrow(data, shift, target)
 
     # -- row-band ROI ----------------------------------------------------------------

@@ -66,7 +66,30 @@ class TestRoundHalfUpShift:
             dtype=np.int64,
         )
         expected = [round_half_up_shift(int(v), shift) for v in edges]
+        before = edges.tolist()
         assert round_half_up_shift(edges, shift).tolist() == expected
+        assert edges.tolist() == before
+
+    @pytest.mark.parametrize("near_top", [True, False], ids=["near-top", "below-top"])
+    @pytest.mark.parametrize("shift", [0, 1, 4, 32, 50, 62, 63])
+    def test_out_is_exact_in_place_and_apart(self, shift, near_top):
+        # The array rounding adds ``half`` in place unless a value
+        # lies within ``half`` of the top of int64 (then the decomposed
+        # form runs); both must equal the arbitrary-precision scalar path,
+        # and the input must survive when ``out`` is another array.
+        half = 1 << max(shift - 1, 0)
+        values = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**62, (1 << shift) - 1]
+        values.append(2**63 - 1 - half if shift < 63 else 0)
+        if near_top:
+            values += [2**63 - 1, 2**63 - half]
+        edges = np.array(values, dtype=np.int64)
+        expected = [round_half_up_shift(int(v), shift) for v in edges]
+        apart = np.empty_like(edges)
+        assert round_half_up_shift(edges, shift, out=apart) is apart
+        assert apart.tolist() == expected
+        assert edges.tolist() == values
+        assert round_half_up_shift(edges, shift, out=edges) is edges
+        assert edges.tolist() == expected
 
     def test_array_large_shift_falls_back_exactly(self):
         edges = np.array([2**63 - 1, -(2**63), 123], dtype=np.int64)
@@ -97,6 +120,13 @@ class TestTruncateShift:
     def test_array_input(self):
         out = truncate_shift(np.array([19, -19], dtype=np.int64), 2)
         assert list(out) == [4, -5]
+
+    @pytest.mark.parametrize("shift", [0, 2, 63])
+    def test_out_in_place(self, shift):
+        values = np.array([2**63 - 1, -(2**63), 19, -19], dtype=np.int64)
+        expected = [int(v) >> shift for v in values]
+        assert truncate_shift(values, shift, out=values) is values
+        assert values.tolist() == expected
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
