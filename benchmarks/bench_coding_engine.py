@@ -5,9 +5,9 @@ Not a paper table: this tracks the throughput of the coding primitives
 codec hot path is visible from PR to PR.  Each test times the fast path with
 pytest-benchmark and writes a JSON record (including the measured speedup
 over the ``*_scalar`` reference implementation, the planar Rice block's
-decode speedup over the legacy interleaved block, and the frame-batched
-pyramid encode and decode against per-block loops) to
-``benchmarks/reports/``.
+decode speedup over the legacy interleaved block, the frame-batched
+pyramid encode and decode against per-block loops, and the s-transform's
+``int32`` decode against its ``int64`` form) to ``benchmarks/reports/``.
 """
 
 import time
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.fastbits import pack_bits, pack_uint_fields, unpack_bits
-from repro.coding.mapper import zigzag_encode
+from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     rice_decode_array,
     rice_decode_planar_blocks,
@@ -27,7 +27,12 @@ from repro.coding.rice import (
     rice_encode_planar_scalar,
 )
 from repro.coding.rle import rle_decode, rle_decode_arrays, rle_encode, rle_encode_arrays
-from repro.coding.s_transform import STransformCodec, _zigzag_word
+from repro.coding.s_transform import (
+    STransformCodec,
+    STransformPyramid,
+    _zigzag_word,
+    s_transform_inverse_2d,
+)
 from repro.imaging.phantoms import ct_slice_series
 
 N_SYMBOLS = 1 << 18
@@ -252,4 +257,49 @@ def test_pyramid_decode_throughput(save_json_record):
             "batched_seconds": batched_s,
             "speedup": loop_s / batched_s,
         }
+    record["s_transform_512"] = _s_transform_decode_record()
     save_json_record("coding_engine_rice_pyramid_decode", record)
+
+
+def _int64_decode(codec, stream):
+    """A 512x512 s-transform decode with every word ``int64``: Rice blocks
+    without a symbol limit, :func:`zigzag_decode`, an ``int64`` pyramid."""
+    keys = [("HH", codec.scales)] + [
+        (kind, scale) for scale in range(1, codec.scales + 1) for kind in ("HG", "GH", "GG")
+    ]
+    blocks = rice_decode_planar_blocks([stream.chunks[key] for key in keys])
+    bands = [
+        zigzag_decode(block).reshape(stream.shapes[key]) for block, key in zip(blocks, keys)
+    ]
+    details = [
+        dict(zip(("HG", "GH", "GG"), bands[1 + 3 * i : 4 + 3 * i]))
+        for i in range(codec.scales)
+    ]
+    return s_transform_inverse_2d(STransformPyramid(bands[0], details))
+
+
+def _s_transform_decode_record():
+    """``decode_pyramid`` + ``inverse_transform`` of a 512x512 CT slice (the
+    ``int32`` word end to end) against the same decode in ``int64``."""
+    image = ct_slice_series(count=1, size=512, seed=1)[0]
+    codec = STransformCodec(scales=4, engine="fast")
+    stream = codec.encode(image)
+    wide_out, wide_s, narrow_out, narrow_s = _compare_timings(
+        lambda stream: _int64_decode(codec, stream),
+        lambda stream: codec.inverse_transform(codec.decode_pyramid(stream)),
+        stream,
+        repeats=15,
+    )
+    assert np.array_equal(wide_out, image) and np.array_equal(narrow_out, image)
+    assert narrow_out.dtype == np.int64
+    pyramid = codec.decode_pyramid(stream)
+    pyramid_s = min(_time_once(codec.decode_pyramid, stream)[1] for _ in range(15))
+    inverse_s = min(_time_once(codec.inverse_transform, pyramid)[1] for _ in range(15))
+    return {
+        "pixels": image.size,
+        "int64_seconds": wide_s,
+        "int32_seconds": narrow_s,
+        "decode_pyramid_seconds": pyramid_s,
+        "inverse_seconds": inverse_s,
+        "speedup": wide_s / narrow_s,
+    }

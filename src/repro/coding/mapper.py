@@ -24,6 +24,7 @@ from ..fxdwt.transform import FixedPointPyramid
 __all__ = [
     "zigzag_encode",
     "zigzag_decode",
+    "zigzag_decode_inplace",
     "pyramid_scan",
     "flatten_pyramid",
 ]
@@ -46,6 +47,36 @@ def zigzag_decode(symbols: np.ndarray) -> np.ndarray:
     if symbols.size and symbols.min() < 0:
         raise ValueError("zig-zag symbols must be non-negative")
     return (symbols >> 1) ^ -(symbols & 1)
+
+
+#: Symbols unfolded per step by :func:`zigzag_decode_inplace`: its sign
+#: scratch (64 KiB of ``int32``) stays in cache and under the allocator's
+#: mmap threshold.
+_UNFOLD_CHUNK = 1 << 14
+
+
+def zigzag_decode_inplace(symbols: np.ndarray) -> np.ndarray:
+    """:func:`zigzag_decode` written over ``symbols``, in their own word.
+
+    ``symbols`` must be a C-contiguous signed integer array of
+    non-negative symbols (a Rice decoder's output; not checked here).
+    ``|value| <= (symbol + 1) / 2``, so the word that holds the symbols
+    holds the values.  The sign mask is built one chunk at a time in a
+    small scratch buffer, so no temporary the size of the array is made.
+    Returns ``symbols``.
+    """
+    if symbols.dtype.kind != "i" or not symbols.flags.c_contiguous:
+        raise ValueError("in-place zig-zag needs a contiguous signed array")
+    flat = symbols.reshape(-1)
+    sign = np.empty(min(flat.size, _UNFOLD_CHUNK), dtype=flat.dtype)
+    for start in range(0, flat.size, _UNFOLD_CHUNK):
+        part = flat[start : start + _UNFOLD_CHUNK]
+        mask = sign[: part.size]
+        np.bitwise_and(part, 1, out=mask)
+        np.negative(mask, out=mask)
+        part >>= 1
+        part ^= mask
+    return symbols
 
 
 def pyramid_scan(pyramid) -> Iterator[Tuple[str, int, np.ndarray]]:

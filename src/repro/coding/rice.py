@@ -44,6 +44,13 @@ bit 7 of the first byte:
 Every decoder — :func:`rice_decode_planar_blocks` and its one-block calls
 :func:`rice_decode_array` / :func:`rice_decode` (vectorised), and
 :func:`rice_decode_scalar` (bit-by-bit reference) — accepts both layouts.
+They decode into ``int64`` unless the caller passes ``limit``, the
+largest symbol it accepts: then any larger symbol raises ``ValueError`` on
+every tier, and a limit below ``2**31`` makes the vectorised output
+``int32``, written straight from the unary and remainder passes (each
+block's largest quotient is checked against ``limit >> k`` before the
+shift, so nothing wraps).  The s-transform codec decodes this way; the
+coefficient codec keeps the ``int64`` output.
 The vectorised interleaved decode resolves the "where does the next code
 start" dependency by pointer doubling over the stream's zero positions
 (:func:`~repro.coding.fastbits.orbit`).  The fast and scalar encoders of
@@ -584,49 +591,90 @@ def _add_remainders(
             start, stop = bounds[b]
             block = out[start:stop]
             block <<= k
-            # A uint64 word needs the unsafe cast: its fields are < 2**30.
+            # The fields (< 2**30) are or-ed in the output's own word.
             np.bitwise_or(
                 block,
                 fields[offset : offset + stop - start],
                 out=block,
-                dtype=np.int64,
+                dtype=out.dtype,
                 casting="unsafe",
             )
             offset += 8 * group
 
 
+def _symbol_word(limit: Optional[int]) -> type:
+    """The word decoded symbols are returned in: ``int32`` under a limit
+    below ``2**31``, ``int64`` otherwise."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"symbol limit {limit} is negative")
+    return np.int32 if limit is not None and limit < 1 << 31 else np.int64
+
+
+def _above_limit(limit: int) -> ValueError:
+    return ValueError(f"Rice block holds a symbol above the limit {limit}")
+
+
 def _decode_planar_batch(
-    raws: List[np.ndarray], headers: List[Tuple[int, int, int]]
+    raws: List[np.ndarray],
+    headers: List[Tuple[int, int, int]],
+    limit: Optional[int] = None,
 ) -> List[np.ndarray]:
     """Decode planar blocks whose headers passed :func:`_planar_header`.
 
     One unary pass over all planes (:func:`_unary_terminators`) and one
-    ``diff`` write every quotient straight into one ``int64`` output, whose
-    block slices are the results; one column pass per distinct ``k``
-    (:func:`_add_remainders`) then adds the remainders.
+    ``diff`` write every quotient straight into one output, whose block
+    slices are the results; one column pass per distinct ``k``
+    (:func:`_add_remainders`) then adds the remainders.  The output word
+    is :func:`_symbol_word` of ``limit``.  Under a limit ``L``, each
+    block's largest quotient is checked against ``L >> k`` before the
+    shift, so ``q << k | r`` stays below ``2**31`` and cannot wrap; only a
+    block whose largest quotient is exactly ``L >> k`` can still exceed
+    ``L`` once its remainders are in, and only such a block is checked
+    again.  A symbol above ``L`` raises ``ValueError``.
     """
     counts = [count for _, count, _ in headers]
     bounds = _block_bounds(counts)
-    out = np.empty(sum(counts), dtype=np.int64)
+    word = _symbol_word(limit)
     filled = [b for b, count in enumerate(counts) if count]
-    if filled:
-        raws = [raws[b] for b in filled]
-        headers = [headers[b] for b in filled]
-        terminators, plane_starts = _unary_terminators(
-            [raw[end:] for raw, (_, _, end) in zip(raws, headers)],
-            [counts[b] for b in filled],
-        )
-        np.subtract(terminators[1:], terminators[:-1], out=out[1:])
-        out -= 1
-        # Each block's first quotient counts from its own plane's first bit.
-        firsts = np.asarray([bounds[b][0] for b in filled])
-        out[firsts] = terminators[firsts] - np.asarray(plane_starts)
-        _add_remainders(
-            out,
-            [bounds[b] for b in filled],
-            [k for k, _, _ in headers],
-            [raw[_HEADER_BYTES:end] for raw, (_, _, end) in zip(raws, headers)],
-        )
+    if not filled:
+        return [np.empty(0, dtype=word) for _ in bounds]
+    raws = [raws[b] for b in filled]
+    headers = [headers[b] for b in filled]
+    ks = [k for k, _, _ in headers]
+    filled_bounds = [bounds[b] for b in filled]
+    terminators, plane_starts = _unary_terminators(
+        [raw[end:] for raw, (_, _, end) in zip(raws, headers)],
+        [counts[b] for b in filled],
+    )
+    # Quotients are differences of terminator positions: while the last is
+    # below 2**31 an int32 difference cannot wrap.  Planes longer than that
+    # (over 256 MiB) are diffed in int64 and narrowed once checked.
+    wide = word if int(terminators[-1]) < 1 << 31 else np.int64
+    out = np.empty(sum(counts), dtype=wide)
+    np.subtract(terminators[1:], terminators[:-1], out=out[1:])
+    out -= 1
+    # Each block's first quotient counts from its own plane's first bit.
+    firsts = np.asarray([start for start, _ in filled_bounds])
+    out[firsts] = terminators[firsts] - np.asarray(plane_starts)
+    at_cap = []
+    if limit is not None:
+        # The filled blocks tile ``out``, so one reduceat gives each its max.
+        tops = np.maximum.reduceat(out, firsts).tolist()
+        for block, top, k in zip(filled_bounds, tops, ks):
+            if top > limit >> k:
+                raise _above_limit(limit)
+            if top == limit >> k and k:
+                at_cap.append(block)
+    _add_remainders(
+        out,
+        filled_bounds,
+        ks,
+        [raw[_HEADER_BYTES:end] for raw, (_, _, end) in zip(raws, headers)],
+    )
+    for start, stop in at_cap:
+        if int(out[start:stop].max()) > limit:
+            raise _above_limit(limit)
+    out = out.astype(word, copy=False)
     return [out[start:stop] for start, stop in bounds]
 
 
@@ -645,7 +693,9 @@ def _batches(counts: Sequence[int]) -> List[List[int]]:
     return batches
 
 
-def rice_decode_planar_blocks(payloads) -> List[np.ndarray]:
+def rice_decode_planar_blocks(
+    payloads, limit: Optional[int] = None
+) -> List[np.ndarray]:
     """Decode every Rice block of a frame, batching the planar ones.
 
     The mirror of :func:`rice_encode_planar_blocks`: equal, block by block,
@@ -655,6 +705,12 @@ def rice_decode_planar_blocks(payloads) -> List[np.ndarray]:
     decoded in batches of up to :data:`_BATCH_SYMBOLS` symbols
     (:func:`_decode_planar_batch`).  A legacy interleaved block is decoded
     on its own.
+
+    ``limit`` is the largest symbol the caller accepts: a block holding a
+    larger one raises ``ValueError``, and under a limit below ``2**31``
+    every block is decoded straight into ``int32`` (each quotient checked
+    against ``limit >> k`` before its shift).  Without one the blocks are
+    ``int64``.
     """
     payloads = list(payloads)
     raws = [np.frombuffer(payload, dtype=np.uint8) for payload in payloads]
@@ -663,11 +719,11 @@ def rice_decode_planar_blocks(payloads) -> List[np.ndarray]:
     decoded = {}
     for batch in _batches([count for _, count, _ in headers]):
         blocks = _decode_planar_batch(
-            [raws[planar[i]] for i in batch], [headers[i] for i in batch]
+            [raws[planar[i]] for i in batch], [headers[i] for i in batch], limit
         )
         decoded.update(zip((planar[i] for i in batch), blocks))
     return [
-        decoded[b] if b in decoded else _decode_interleaved(payload)
+        decoded[b] if b in decoded else _decode_interleaved(payload, limit)
         for b, payload in enumerate(payloads)
     ]
 
@@ -762,7 +818,7 @@ def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
     return skipped
 
 
-def _decode_interleaved(data) -> np.ndarray:
+def _decode_interleaved(data, limit: Optional[int] = None) -> np.ndarray:
     """Vectorised decode of an interleaved block.
 
     The sequential "where does the next code start" dependency is solved on
@@ -774,13 +830,16 @@ def _decode_interleaved(data) -> np.ndarray:
     Every code ends in exactly one zero, so a ``count`` larger than the
     zeros left after the header is rejected before anything is sized from
     it: a hostile count fails in time and memory bounded by the block.
+    ``limit`` is checked and sets the output word as in
+    :func:`_decode_planar_batch`.
     """
     bits = unpack_bits(data)
     k = read_uint(bits, 0, 8)
     count = read_uint(bits, 8, 32)
     _check_parameter(k)
+    word = _symbol_word(limit)
     if count == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=word)
     nbits = bits.size
     start = 40
     if start >= nbits:
@@ -813,14 +872,19 @@ def _decode_interleaved(data) -> np.ndarray:
     starts[0] = start
     starts[1:] = terminators[:-1] + 1 + k
     quotients = terminators - starts
-    if k == 0:
-        return quotients
-    if int(terminators[-1]) + k >= nbits:
+    if k and int(terminators[-1]) + k >= nbits:
         raise EOFError("bitstream exhausted")
+    if limit is not None and int(quotients.max()) > limit >> k:
+        raise _above_limit(limit)
+    if k == 0:
+        return quotients.astype(word, copy=False)
     remainders = np.zeros(count, dtype=np.int64)
     for plane in range(k):
         remainders = (remainders << 1) | bits[terminators + 1 + plane]
-    return (quotients << k) | remainders
+    symbols = (quotients << k) | remainders
+    if limit is not None and int(symbols.max()) > limit:
+        raise _above_limit(limit)
+    return symbols.astype(word, copy=False)
 
 
 def rice_decode_array(data) -> np.ndarray:
@@ -871,18 +935,27 @@ def rice_encode_scalar(symbols, k: Optional[int] = None) -> bytes:
     return writer.getvalue()
 
 
-def rice_decode_scalar(data) -> List[int]:
-    """Bit-by-bit reference decoder of either layout; inverse of every encoder."""
+def rice_decode_scalar(data, limit: Optional[int] = None) -> List[int]:
+    """Bit-by-bit reference decoder of either layout; inverse of every encoder.
+
+    A block holding a symbol above ``limit`` raises ``ValueError`` once it
+    has been read whole, so a block that is also truncated fails with the
+    same ``EOFError`` as on the fast tier.
+    """
     if is_planar_block(data):
         raw = np.frombuffer(data, dtype=np.uint8)
         k, count, remainder_end = _planar_header(raw)
         remainders = BitReader(raw[_HEADER_BYTES:remainder_end].tobytes())
         quotients = BitReader(raw[remainder_end:].tobytes())
-        return [
+        symbols = [
             (quotients.read_unary() << k) | remainders.read_uint(k)
             for _ in range(count)
         ]
-    reader = BitReader(data)
-    k = reader.read_uint(8)
-    count = reader.read_uint(32)
-    return [rice_decode_value(reader, k) for _ in range(count)]
+    else:
+        reader = BitReader(data)
+        k = reader.read_uint(8)
+        count = reader.read_uint(32)
+        symbols = [rice_decode_value(reader, k) for _ in range(count)]
+    if limit is not None and max(symbols, default=0) > limit:
+        raise _above_limit(limit)
+    return symbols

@@ -18,6 +18,16 @@ small integers that zig-zag + Rice coding shrinks well on smooth medical
 content.  The 2-D multi-scale version applies the 1-D step to rows then
 columns and recurses on the LL band, mirroring the Mallat pyramid of Fig. 1.
 
+Each codec stage keeps one proven word.  The forward lifting runs in place
+in ``int16`` (up to 14-bit pixels) or ``int32``, and the bands are
+zig-zagged into one unsigned symbol buffer of that width.  Decode mirrors
+it: the Rice blocks decode straight into ``int32`` under the symbol limit
+``4 * (2**bit_depth - 1)`` (:func:`_symbol_limit`), zig-zag decodes in
+place, so ``decode_pyramid``'s bands are ``int32``, and the inverse lifts
+in that word (its growth bound is proved in :func:`_synthesis_word`) with
+one scratch buffer per decode.  Only the image that ``decode``,
+``decode_preview`` and ``decode_roi`` return is ``int64``.
+
 This is an **extension** to make the library usable as an actual compressor;
 it is clearly not part of the DATE'98 paper's contribution and no paper
 number is derived from it.
@@ -31,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dwt.subbands import check_band_shapes
-from .mapper import zigzag_decode
+from .mapper import zigzag_decode_inplace
 from .rice import (
     rice_decode_planar_blocks,
     rice_decode_scalar,
@@ -73,14 +83,26 @@ def s_transform_forward_1d(signal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return approx, detail
 
 
+def _lift_pair(
+    approx: np.ndarray, detail: np.ndarray, even: np.ndarray, odd: np.ndarray
+) -> None:
+    """One inverse lifting step written into the ``even`` and ``odd``
+    views: ``even = approx - floor(detail / 2)``, ``odd = detail + even``
+    (an arithmetic shift is that floor).  No temporaries: ``even`` holds
+    the shifted detail first.  The views' word is the step's word."""
+    np.right_shift(detail, 1, out=even)
+    np.subtract(approx, even, out=even)
+    np.add(detail, even, out=odd)
+
+
 def s_transform_inverse_1d(
     approx: np.ndarray, detail: np.ndarray, axis: int = -1
 ) -> np.ndarray:
     """Inverse of :func:`s_transform_forward_1d` along ``axis`` (default: last).
 
     The even and odd samples are computed straight into their interleaved
-    slots of the result, so a column step (``axis=0``) needs no transposed
-    copies and no temporaries.
+    slots of the ``int64`` result, so a column step (``axis=0``) needs no
+    transposed copies and no temporaries.
     """
     approx = np.asarray(approx, dtype=np.int64)
     detail = np.asarray(detail, dtype=np.int64)
@@ -94,21 +116,100 @@ def s_transform_inverse_1d(
     odd_slots = list(even_slots)
     even_slots[axis] = slice(0, None, 2)
     odd_slots[axis] = slice(1, None, 2)
-    even = out[tuple(even_slots)]
-    # even = approx - floor(detail / 2): an arithmetic shift is that floor.
-    np.right_shift(detail, 1, out=even)
-    np.subtract(approx, even, out=even)
-    np.add(detail, even, out=out[tuple(odd_slots)])
+    _lift_pair(approx, detail, out[tuple(even_slots)], out[tuple(odd_slots)])
     return out
 
 
-def _inverse_scale(
-    data: np.ndarray, hg: np.ndarray, gh: np.ndarray, gg: np.ndarray
+def _synthesis_word(bands: Sequence[np.ndarray]) -> np.dtype:
+    """The word the inverse lifts ``bands`` in: their own signed word, at
+    least ``int32``.
+
+    ``int32`` is proven wide enough for every band within ``+-D``, ``D =
+    2**(bd + 1)``: the bands a ``bd``-bit stream decodes to (its Rice
+    symbols are at most :func:`_symbol_limit`) and the ``int16`` ones its
+    forward lifting makes (``D = 2**15``).  One synthesis scale takes an
+    approximation bounded by ``A`` to at most ``A + 5.25 D``, and every
+    value it writes on the way stays within that: the column steps give
+    ``A + D/2`` and ``A + 3D/2`` (LL with HG), ``3D/2`` and ``5D/2`` (GH
+    with GG), the row step ``A + 11D/4`` and then ``A + 21D/4``.  From
+    ``A = D`` at the coarsest scale, ``s`` scales stay within ``(1 +
+    5.25 s) D``: at 16 bits and 13 scales (the most a frame within
+    ``MAX_FRAME_PIXELS`` halves into) that is under ``70 * 2**17``, far
+    below ``2**31``.  ``int64`` bands (:func:`s_transform_forward_2d`)
+    lift in ``int64``.
+    """
+    word = np.result_type(np.int32, *(band.dtype for band in bands))
+    return word if word.kind == "i" else np.dtype(np.int64)
+
+
+def _integer_band(band) -> np.ndarray:
+    band = np.asarray(band)
+    return band if band.dtype.kind == "i" else band.astype(np.int64)
+
+
+def _synthesize(
+    approximation: np.ndarray,
+    details: Sequence[Dict[str, np.ndarray]],
+    rows: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
-    """One synthesis step: columns, then rows (the analysis order reversed)."""
-    row_lo = s_transform_inverse_1d(data, hg, axis=0)
-    row_hi = s_transform_inverse_1d(gh, gg, axis=0)
-    return s_transform_inverse_1d(row_lo, row_hi)
+    """The ``int64`` image the inverse S-transform makes of
+    ``approximation`` and ``details`` (coarsest scale first), or just its
+    output rows ``rows = (y0, y1)``.
+
+    Each scale runs the two column steps (LL with HG, GH with GG) into two
+    halves, then the row step out of them: the analysis order reversed.
+    Every step lifts in :func:`_synthesis_word`, and only the last one's
+    samples are copied into the ``int64`` image.  One scratch buffer,
+    allocated once for the largest scale, holds the two halves and a
+    third region for the row step's output (the next scale's
+    approximation, and the last step's even samples).  The S-transform is
+    non-overlapping (each output row pair draws on one coefficient row),
+    so a row window contracts exactly by ``(a, b) -> (a // 2, (b - 1) //
+    2 + 1)`` per scale and never clamps.
+    """
+    approximation = _integer_band(approximation)
+    details = [
+        {kind: _integer_band(bands[kind]) for kind in ("HG", "GH", "GG")}
+        for bands in details
+    ]
+    scales = len(details)
+    width = approximation.shape[1] << scales
+    windows = [rows or (0, approximation.shape[0] << scales)]
+    for _ in range(scales):
+        a, b = windows[-1]
+        windows.append((a // 2, (b - 1) // 2 + 1))
+    data = approximation[windows[-1][0] : windows[-1][1]]
+    image = np.empty((windows[0][1] - windows[0][0], width), dtype=np.int64)
+    if not scales:
+        image[...] = data
+        return image
+    word = _synthesis_word([approximation, *(b for d in details for b in d.values())])
+    size = max(
+        2 * (b - a) * (width >> level)
+        for level, (a, b) in enumerate(windows[1:], start=1)
+    )
+    scratch = np.empty(3 * size, dtype=word)
+    for level, bands in zip(range(scales, 0, -1), details):
+        a, b = windows[level]
+        hg, gh, gg = (bands[kind][a:b] for kind in ("HG", "GH", "GG"))
+        low, high = (
+            scratch[offset : offset + 2 * data.size].reshape(-1, data.shape[1])
+            for offset in (0, size)
+        )
+        _lift_pair(data, hg, low[0::2], low[1::2])
+        _lift_pair(gh, gg, high[0::2], high[1::2])
+        start, stop = (edge - 2 * a for edge in windows[level - 1])
+        low, high = low[start:stop], high[start:stop]
+        if level > 1:
+            data = scratch[2 * size : 2 * size + 2 * low.size].reshape(len(low), -1)
+            _lift_pair(low, high, data[:, 0::2], data[:, 1::2])
+    # The last row step: even samples into the third region, odd ones
+    # over the LL-with-HG half, then both into the image.
+    even = scratch[2 * size : 2 * size + low.size].reshape(low.shape)
+    _lift_pair(low, high, even, low)
+    image[:, 0::2] = even
+    image[:, 1::2] = low
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +292,14 @@ def s_transform_forward_2d(image: np.ndarray, scales: int) -> STransformPyramid:
 
 
 def s_transform_inverse_2d(pyramid: STransformPyramid) -> np.ndarray:
-    """Inverse of :func:`s_transform_forward_2d`."""
-    data = np.asarray(pyramid.approximation, dtype=np.int64)
-    for bands in reversed(pyramid.details):
-        data = _inverse_scale(data, bands["HG"], bands["GH"], bands["GG"])
-    return data
+    """Inverse of :func:`s_transform_forward_2d`, as an ``int64`` image.
+
+    Lifts in the bands' own word, at least ``int32``
+    (:func:`_synthesis_word`): ``int64`` for an ``int64`` pyramid.  The
+    ``int32`` word is proven for bands within ``+-2**17``; pass wider
+    values as ``int64``.
+    """
+    return _synthesize(pyramid.approximation, pyramid.details[::-1])
 
 
 def s_transform_inverse_roi(
@@ -203,35 +307,16 @@ def s_transform_inverse_roi(
 ) -> np.ndarray:
     """Inverse S-transform restricted to output rows ``[y0, y1)``.
 
-    The S-transform is non-overlapping (each output row pair draws on one
-    coefficient row), so the row window contracts exactly by
-    ``(a, b) -> (a // 2, (b - 1) // 2 + 1)`` per scale and never clamps.
-    The result is bit-exact to ``s_transform_inverse_2d(pyramid)[y0:y1]``.
+    Only the coefficient rows the window draws on are lifted
+    (:func:`_synthesize`).  The result is bit-exact to
+    ``s_transform_inverse_2d(pyramid)[y0:y1]``.
     """
-    scales = pyramid.scales
-    height = pyramid.approximation.shape[0] << scales
+    height = pyramid.approximation.shape[0] << pyramid.scales
     if not 0 <= y0 < y1 <= height:
         raise ValueError(
             f"row band [{y0}, {y1}) is not within the {height}-row image"
         )
-    windows = [(y0, y1)]
-    for _ in range(scales):
-        a, b = windows[-1]
-        windows.append((a // 2, (b - 1) // 2 + 1))
-    lo, hi = windows[scales]
-    data = np.asarray(pyramid.approximation, dtype=np.int64)[lo:hi]
-    for level, bands in zip(range(scales, 0, -1), reversed(pyramid.details)):
-        in_win = windows[level]
-        out_win = windows[level - 1]
-        hg = bands["HG"][in_win[0] : in_win[1]]
-        gh = bands["GH"][in_win[0] : in_win[1]]
-        gg = bands["GG"][in_win[0] : in_win[1]]
-        row_lo = s_transform_inverse_1d(data, hg, axis=0)
-        row_hi = s_transform_inverse_1d(gh, gg, axis=0)
-        start = out_win[0] - 2 * in_win[0]
-        stop = out_win[1] - 2 * in_win[0]
-        data = s_transform_inverse_1d(row_lo[start:stop], row_hi[start:stop])
-    return data
+    return _synthesize(pyramid.approximation, pyramid.details[::-1], (y0, y1))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +333,15 @@ def _lifting_word(bit_depth: int) -> type:
     ``int16`` up to 14-bit pixels, ``int32`` for 15 and 16.
     """
     return np.int16 if bit_depth <= 14 else np.int32
+
+
+def _symbol_limit(bit_depth: int) -> int:
+    """The largest Rice symbol a ``bit_depth``-bit stream holds:
+    ``4 * (2**bit_depth - 1)``, the zig-zag of GG's extreme ``2 *
+    (2**bit_depth - 1)`` (:func:`_lifting_word`).  Below ``2**18``, so
+    the decoder reads every band in ``int32``, and every decoded value
+    lies within ``+-2**(bit_depth + 1)`` (:func:`_synthesis_word`)."""
+    return 4 * ((1 << bit_depth) - 1)
 
 
 def _zigzag_word(band: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -381,7 +475,9 @@ class STransformCodec:
         return compressed
 
     def decode_pyramid(self, compressed: CompressedSImage) -> STransformPyramid:
-        """Entropy decode a stream back into a subband pyramid."""
+        """Entropy decode a stream back into a subband pyramid of ``int32``
+        bands (a symbol above the :func:`_symbol_limit` of the stream's
+        declared bit depth raises ``ValueError``)."""
         self._check_stream_config(compressed)
         approximation, details = self._decode_bands(
             compressed, range(1, self.scales + 1)
@@ -389,7 +485,8 @@ class STransformCodec:
         return STransformPyramid(approximation=approximation, details=details)
 
     def inverse_transform(self, pyramid: STransformPyramid) -> np.ndarray:
-        """Run the inverse S-transform."""
+        """Run the inverse S-transform (:func:`s_transform_inverse_2d`): in
+        the ``int32`` word of decoded bands, into an ``int64`` image."""
         return s_transform_inverse_2d(pyramid)
 
     # -- whole-image API ----------------------------------------------------------------
@@ -417,12 +514,9 @@ class STransformCodec:
             raise ValueError(
                 f"at_scale must be within [0, {self.scales}], got {at_scale}"
             )
-        data, details = self._decode_bands(
-            compressed, range(self.scales, at_scale, -1)
+        return _synthesize(
+            *self._decode_bands(compressed, range(self.scales, at_scale, -1))
         )
-        for bands in details:
-            data = _inverse_scale(data, bands["HG"], bands["GH"], bands["GG"])
-        return data
 
     def decode_roi(self, compressed: CompressedSImage, y0: int, y1: int) -> np.ndarray:
         """Decode just the output row band ``[y0, y1)``.
@@ -439,11 +533,17 @@ class STransformCodec:
 
     # -- helpers ------------------------------------------------------------------------
     def _check_stream_config(self, compressed: CompressedSImage) -> None:
-        """Reject a stream of another depth, or one whose declared band
-        shapes do not fit its image, before anything is decoded."""
+        """Reject a stream of another depth, one declaring a bit depth
+        outside ``[1, 16]`` (its symbol limit sizes the decode word), or one
+        whose declared band shapes do not fit its image, before anything is
+        decoded."""
         if compressed.scales != self.scales:
             raise ValueError(
                 f"stream has {compressed.scales} scales, codec configured for {self.scales}"
+            )
+        if not 1 <= compressed.bit_depth <= 16:
+            raise ValueError(
+                f"stream declares bit depth {compressed.bit_depth}, outside [1, 16]"
             )
         check_band_shapes(
             compressed.image_shape,
@@ -460,16 +560,19 @@ class STransformCodec:
             ]
         return rice_encode_planar_flat(symbols, counts)
 
-    def _rice_decode_blocks(self, payloads: List[bytes]) -> Iterator[np.ndarray]:
-        """The decoded blocks in order.  The scalar tier decodes each one as
-        it is taken; the fast tier decodes the frame in one batch and drops
-        each block once taken, so a batch's output is freed with its last
-        band and the decode peaks near one copy of the frame, not two."""
+    def _rice_decode_blocks(
+        self, payloads: List[bytes], limit: int
+    ) -> Iterator[np.ndarray]:
+        """The decoded ``int32`` blocks in order, every symbol checked
+        against ``limit``.  The scalar tier decodes each one as it is
+        taken; the fast tier decodes the frame in one batch and drops each
+        block once taken, so a batch's output is freed with its last band
+        and the decode peaks near one copy of the frame, not two."""
         if self.engine == "scalar":
             for payload in payloads:
-                yield np.asarray(rice_decode_scalar(payload), dtype=np.int64)
+                yield np.asarray(rice_decode_scalar(payload, limit), dtype=np.int32)
             return
-        blocks = rice_decode_planar_blocks(payloads)[::-1]
+        blocks = rice_decode_planar_blocks(payloads, limit)[::-1]
         while blocks:
             yield blocks.pop()
 
@@ -477,7 +580,9 @@ class STransformCodec:
         self, compressed: CompressedSImage, scales: Sequence[int]
     ) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
         """The approximation and the detail bands of ``scales`` (in that
-        order), their Rice blocks decoded in one batch."""
+        order), their Rice blocks decoded in one batch under the symbol
+        limit of the stream's declared bit depth (:func:`_symbol_limit`)
+        and zig-zag decoded in place."""
         keys = [("HH", self.scales)] + [
             (kind, scale) for scale in scales for kind in ("HG", "GH", "GG")
         ]
@@ -487,10 +592,11 @@ class STransformCodec:
         except KeyError as exc:
             kind, scale = exc.args[0]
             raise KeyError(f"compressed stream has no subband {kind}@{scale}") from exc
+        blocks = self._rice_decode_blocks(payloads, _symbol_limit(compressed.bit_depth))
         bands = iter(
             [
-                zigzag_decode(symbols).reshape(shape)
-                for symbols, shape in zip(self._rice_decode_blocks(payloads), shapes)
+                zigzag_decode_inplace(symbols).reshape(shape)
+                for symbols, shape in zip(blocks, shapes)
             ]
         )
         approximation = next(bands)

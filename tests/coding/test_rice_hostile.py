@@ -6,7 +6,11 @@ anything from it: the remainder plane must fit, and the unary plane must
 hold at least one bit per symbol.  A legacy interleaved block's count is
 checked against the code terminators (zeros) its bits hold.  A lying
 header must fail fast with ``EOFError`` (or ``ValueError`` for a parameter
-out of range), never by allocating what it declares.  Interleaved blocks
+out of range), never by allocating what it declares.  A decoder given the
+largest symbol its caller accepts (the s-transform codec's
+``4 * (2**bit_depth - 1)``) rejects any symbol above it with
+``ValueError``, checking each quotient before the shift that could wrap
+its ``int32`` output.  Interleaved blocks
 stay readable for read-compat, so their hostile headers and truncations
 are checked here too, against the bit-by-bit reference.  An RLE run
 stream's lengths are checked against its band's shape before any band is
@@ -40,11 +44,13 @@ from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.rice import (
     PLANAR_FLAG,
     rice_decode,
+    rice_decode_planar_blocks,
     rice_decode_scalar,
     rice_encode,
     rice_encode_planar,
+    rice_encode_planar_blocks,
 )
-from repro.coding.s_transform import STransformCodec
+from repro.coding.s_transform import STransformCodec, _symbol_limit
 from repro.dwt.subbands import check_image_shape
 from repro.imaging.phantoms import shepp_logan
 
@@ -220,6 +226,153 @@ def test_every_interleaved_truncation_agrees_across_tiers(k, size, step):
         assert fast == _outcome(rice_decode_scalar, block[:cut]), cut
         if not isinstance(fast, type):
             assert min(fast, default=0) >= 0, cut
+
+
+# -- Declared bit depth -----------------------------------------------------------------
+
+#: The s-transform codec's symbol limit at 12 bits: ``4 * (2**12 - 1)``.
+LIMIT = _symbol_limit(12)
+LIMITED_DECODERS = {
+    "fast": lambda block: rice_decode_planar_blocks([block], LIMIT)[0].tolist(),
+    "scalar": lambda block: rice_decode_scalar(block, LIMIT),
+}
+ENCODERS = {"planar": rice_encode_planar, "interleaved": rice_encode}
+#: Parameters around the limit's width (16380 is 14 bits): ``k = 4`` puts
+#: ``LIMIT + 1`` on the limit's own quotient with a larger remainder.
+LIMIT_PARAMETERS = [0, 1, 4, 13, 14, 20]
+
+
+@pytest.fixture(params=sorted(LIMITED_DECODERS))
+def limited_decode(request):
+    return LIMITED_DECODERS[request.param]
+
+
+def test_the_limit_is_the_zigzag_of_the_extreme_gg():
+    assert LIMIT == 16380
+    assert [_symbol_limit(depth) for depth in (1, 16)] == [4, 4 * 0xFFFF]
+
+
+@pytest.mark.parametrize("k", LIMIT_PARAMETERS)
+@pytest.mark.parametrize("layout", sorted(ENCODERS))
+def test_a_symbol_at_the_limit_decodes(limited_decode, layout, k):
+    block = ENCODERS[layout]([0, LIMIT, 7], k=k)
+    assert limited_decode(block) == [0, LIMIT, 7]
+
+
+@pytest.mark.parametrize("k", LIMIT_PARAMETERS)
+@pytest.mark.parametrize("layout", sorted(ENCODERS))
+def test_one_past_the_limit_fails(limited_decode, layout, k):
+    block = ENCODERS[layout]([0, LIMIT + 1, 7], k=k)
+    _assert_bounded_failure(ValueError, limited_decode, block)
+    # Without a limit the same block decodes in int64, as before.
+    assert rice_decode(block) == [0, LIMIT + 1, 7]
+
+
+@pytest.mark.parametrize("symbol", [1 << 32, (1 << 32) + 5, (1 << 32) + LIMIT])
+@pytest.mark.parametrize("layout", sorted(ENCODERS))
+def test_a_quotient_that_would_wrap_int32_fails_before_the_shift(
+    limited_decode, layout, symbol
+):
+    """``k = 20`` and a quotient of ``2**12``: shifted in ``int32`` the
+    symbol would wrap to a value within the limit."""
+    block = ENCODERS[layout]([3, symbol], k=20)
+    assert 0 <= np.int64(symbol).astype(np.int32) <= LIMIT
+    _assert_bounded_failure(ValueError, limited_decode, block)
+
+
+def test_the_limited_batch_is_int32_and_equals_the_int64_one():
+    rng = np.random.default_rng(17)
+    blocks = [rng.integers(0, LIMIT + 1, size=n) for n in (40, 0, 300, 9)]
+    blocks.append(np.full(12, LIMIT))
+    payloads = rice_encode_planar_blocks(blocks) + [rice_encode(blocks[0])]
+    wide = rice_decode_planar_blocks(payloads)
+    narrow = rice_decode_planar_blocks(payloads, LIMIT)
+    assert {block.dtype for block in wide} == {np.dtype(np.int64)}
+    assert {block.dtype for block in narrow} == {np.dtype(np.int32)}
+    for w, n in zip(wide, narrow, strict=True):
+        np.testing.assert_array_equal(w, n)
+
+
+def test_one_block_over_the_limit_fails_its_whole_frame():
+    symbols = [np.arange(50), np.array([LIMIT + 1]), np.zeros(20, dtype=np.int64)]
+    frame = rice_encode_planar_blocks(symbols)
+    _assert_bounded_failure(ValueError, rice_decode_planar_blocks, frame, LIMIT)
+    assert [block.tolist() for block in rice_decode_planar_blocks(frame)] == [
+        block.tolist() for block in symbols
+    ]
+
+
+def _limit_cases():
+    over = [0, LIMIT + 1, 0]
+    cases = {}
+    for layout, encode in ENCODERS.items():
+        for k in (0, 4, 20):
+            cases[f"{layout}-k{k}-at"] = encode([0, LIMIT, 0], k=k)
+            cases[f"{layout}-k{k}-over"] = encode(over, k=k)
+            # Over the limit and cut short: both tiers read the block whole
+            # first, so both report the truncation.
+            cases[f"{layout}-k{k}-over-cut"] = encode(over, k=k)[:-1]
+        cases[f"{layout}-wrap"] = encode([1 << 32], k=20)
+    return cases
+
+
+LIMIT_CASES = _limit_cases()
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+def test_the_tiers_fail_alike_under_the_limit(case):
+    block = LIMIT_CASES[case]
+    fast = _outcome(LIMITED_DECODERS["fast"], block)
+    assert fast == _outcome(LIMITED_DECODERS["scalar"], block)
+    expected = (
+        [0, LIMIT, 0] if case.endswith("-at") else
+        EOFError if case.endswith("-cut") else ValueError
+    )
+    assert fast == expected
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+@pytest.mark.parametrize("bit_depth", [1, 12, 16])
+def test_a_band_over_the_declared_depth_fails_the_codec(engine, bit_depth):
+    """One GG@1 symbol past the limit of the codec's bit depth; a symbol at
+    the limit decodes."""
+    image = np.zeros((64, 64), dtype=np.int64)
+    codec = STransformCodec(scales=3, bit_depth=bit_depth, engine=engine)
+    stream = codec.encode(image)
+    limit = _symbol_limit(bit_depth)
+    symbols = np.zeros(32 * 32, dtype=np.int64)
+    symbols[5] = limit
+    stream.chunks[("GG", 1)] = rice_encode_planar(symbols)
+    assert codec.decode(stream).dtype == np.int64
+    symbols[5] = limit + 1
+    stream.chunks[("GG", 1)] = rice_encode_planar(symbols)
+    for call, *args in (
+        (codec.decode,),
+        (codec.decode_pyramid,),
+        (codec.decode_preview, 0),
+        (codec.decode_roi, 0, 8),
+    ):
+        _assert_bounded_failure(ValueError, call, stream, *args)
+    # GG@1 is not read for a scale-1 preview.
+    assert codec.decode_preview(stream, 1).shape == (32, 32)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+def test_the_limit_follows_the_streams_declared_depth(engine):
+    """A 16-bit stream decodes under a codec configured for 12 bits (the
+    stream's own depth sets the limit); a stream declaring a depth outside
+    [1, 16] fails before anything is decoded."""
+    rows, columns = np.indices((64, 64))
+    image = np.where((rows + columns) % 2, 0xFFFF, 0).astype(np.int64)
+    stream = STransformCodec(scales=3, bit_depth=16).encode(image)
+    codec = STransformCodec(scales=3, bit_depth=12, engine=engine)
+    np.testing.assert_array_equal(codec.decode(stream), image)
+    stream.bit_depth = 12
+    _assert_bounded_failure(ValueError, codec.decode, stream)
+    for depth in (0, 17, 255):
+        stream.bit_depth = depth
+        with pytest.raises(ValueError, match="bit depth"):
+            codec.decode(stream)
 
 
 # -- RLE run streams --------------------------------------------------------------------

@@ -8,10 +8,20 @@ the plain ``int64`` lifting (transposed 1-D steps, ``int64`` zig-zag): the
 narrow pyramid must equal it value for value and the stored bytes must not
 change.  The 0/max checkerboard drives the GG band to its bound,
 ``2 * (2**bit_depth - 1)``, the largest value the word has to hold.
+
+Decode mirrors it: the Rice blocks decode into ``int32`` under the symbol
+limit ``4 * (2**bit_depth - 1)``, zig-zag decodes in place, and the
+inverse lifts in that word, so only the image is ``int64``.  The
+reference there is a plain ``int64`` inverse (``floor_divide``, transposed
+steps): ``decode``, ``decode_preview`` and ``decode_roi`` must equal it on
+both tiers, and so must the ``int32`` inverse of random bands anywhere in
+the decodable range, which is what the word's growth bound covers.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.archive.serialize import serialize_stream
 from repro.coding import STransformCodec
@@ -19,9 +29,13 @@ from repro.coding.mapper import zigzag_encode
 from repro.coding.rice import rice_encode_planar_blocks, rice_encode_planar_scalar
 from repro.coding.s_transform import (
     CompressedSImage,
+    STransformPyramid,
+    _symbol_limit,
     _zigzag_bands,
     s_transform_forward_1d,
     s_transform_forward_2d,
+    s_transform_inverse_2d,
+    s_transform_inverse_roi,
 )
 from repro.imaging import ct_slice_series
 
@@ -176,3 +190,131 @@ def test_the_int64_pyramid_bands_own_their_memory():
         band for entry in pyramid.details for band in entry.values()
     ]
     assert all(band.flags.owndata and band.flags.c_contiguous for band in bands)
+
+
+# -- decode -----------------------------------------------------------------------------
+
+def _unlift(approx, detail):
+    """The inverse 1-D step along axis 0, in ``int64``, with ``floor_divide``."""
+    even = approx - np.floor_divide(detail, 2)
+    out = np.empty((2 * approx.shape[0], *approx.shape[1:]), dtype=np.int64)
+    out[0::2], out[1::2] = even, detail + even
+    return out
+
+
+def _int64_inverse(approximation, details):
+    """Columns, then rows on transposed arrays, every value in ``int64``."""
+    data = np.asarray(approximation, dtype=np.int64)
+    for bands in reversed(details):
+        hg, gh, gg = (np.asarray(bands[kind], dtype=np.int64) for kind in ("HG", "GH", "GG"))
+        data = _unlift(_unlift(data, hg).T, _unlift(gh, gg).T).T
+    return data
+
+
+#: The scalar tier decodes bit by bit, so it runs on the checkerboard
+#: alone: its bands reach the symbol limit.
+TIER_IMAGES = {"fast": sorted(IMAGES), "scalar": ["checkerboard"]}
+
+
+@pytest.mark.parametrize("engine", sorted(TIER_IMAGES))
+@pytest.mark.parametrize("bit_depth", range(1, 17))
+def test_every_decode_call_equals_the_int64_reference(engine, bit_depth):
+    for image_name in TIER_IMAGES[engine]:
+        image = IMAGES[image_name](bit_depth)
+        for scales in SCALES:
+            codec = STransformCodec(scales=scales, bit_depth=bit_depth, engine=engine)
+            stream = codec.encode(image)
+            pyramid = codec.decode_pyramid(stream)
+            approximation, details = _int64_pyramid(image, scales)
+            np.testing.assert_array_equal(_int64_inverse(approximation, details), image)
+            np.testing.assert_array_equal(codec.decode(stream), image)
+            for at_scale in range(scales + 1):
+                preview = _int64_pyramid(image, at_scale)[0] if at_scale else image
+                np.testing.assert_array_equal(
+                    codec.decode_preview(stream, at_scale), preview
+                )
+            for y0, y1 in ((0, SIZE), (5, 6), (17, 42), (SIZE - 3, SIZE)):
+                np.testing.assert_array_equal(
+                    codec.decode_roi(stream, y0, y1), image[y0:y1]
+                )
+            assert pyramid.approximation.dtype == np.int32
+            assert {
+                band.dtype for bands in pyramid.details for band in bands.values()
+            } == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+def test_decode_outputs_are_int64(engine):
+    image = _ct_slice(12)
+    codec = STransformCodec(scales=3, bit_depth=12, engine=engine)
+    stream = codec.encode(image)
+    assert codec.decode(stream).dtype == np.int64
+    assert codec.inverse_transform(codec.decode_pyramid(stream)).dtype == np.int64
+    for at_scale in range(4):
+        assert codec.decode_preview(stream, at_scale).dtype == np.int64
+    assert codec.decode_roi(stream, 3, 30).dtype == np.int64
+
+
+def _random_bands(rng, bit_depth, scales, side, extremes):
+    """A pyramid of ``int32`` bands drawn from the decodable range
+    ``+-(limit / 2)``, or from its two ends only."""
+    edge = _symbol_limit(bit_depth) // 2
+
+    def band(size):
+        if extremes:
+            return rng.choice(np.array([-edge, edge], dtype=np.int32), size=(size, size))
+        return rng.integers(-edge, edge + 1, size=(size, size), dtype=np.int32)
+
+    return band(side >> scales), [
+        {kind: band(side >> scale) for kind in ("HG", "GH", "GG")}
+        for scale in range(1, scales + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bit_depth=st.integers(1, 16),
+    scales=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    extremes=st.booleans(),
+    rows=st.tuples(st.integers(0, SIZE - 1), st.integers(1, SIZE)),
+)
+def test_random_bands_lift_in_int32_like_int64(bit_depth, scales, seed, extremes, rows):
+    """No image behind the bands: every band value anywhere in the range a
+    stream of this depth decodes to.  The ``int32`` inverse, the windowed
+    one and the codec's decode of the same bands equal the ``int64``
+    reference."""
+    rng = np.random.default_rng(seed)
+    approximation, details = _random_bands(rng, bit_depth, scales, SIZE, extremes)
+    reference = _int64_inverse(approximation, details)
+    pyramid = STransformPyramid(approximation=approximation, details=details)
+    np.testing.assert_array_equal(s_transform_inverse_2d(pyramid), reference)
+    y0, y1 = min(rows), max(rows)
+    if y0 < y1:
+        np.testing.assert_array_equal(
+            s_transform_inverse_roi(pyramid, y0, y1), reference[y0:y1]
+        )
+    wide = STransformPyramid(
+        approximation=approximation.astype(np.int64),
+        details=[{k: b.astype(np.int64) for k, b in d.items()} for d in details],
+    )
+    np.testing.assert_array_equal(s_transform_inverse_2d(wide), reference)
+    codec = STransformCodec(scales=scales, bit_depth=bit_depth, engine="fast")
+    stream = codec.encode_pyramid(pyramid, reference.shape)
+    np.testing.assert_array_equal(codec.decode(stream), reference)
+
+
+@pytest.mark.parametrize("engine", ["fast", "scalar"])
+def test_extreme_bands_decode_alike_on_both_tiers(engine):
+    """Bands at the ends of the 16-bit decodable range, alternating in
+    sign, through six scales: the largest growth the word has to hold."""
+    rng = np.random.default_rng(3)
+    approximation, details = _random_bands(rng, 16, 6, SIZE, extremes=True)
+    reference = _int64_inverse(approximation, details)
+    assert np.abs(reference).max() > 1 << 17
+    codec = STransformCodec(scales=6, bit_depth=16, engine=engine)
+    stream = codec.encode_pyramid(
+        STransformPyramid(approximation=approximation, details=details), reference.shape
+    )
+    np.testing.assert_array_equal(codec.decode(stream), reference)
+    np.testing.assert_array_equal(codec.decode_roi(stream, 9, 50), reference[9:50])
