@@ -26,11 +26,12 @@ with the same closed forms the simulator obeys and converts them to
 seconds, images/s and utilisation.  The analytic model is validated against
 the simulator by the test suite.
 
-Downstream, the accelerator is the ``transform="accelerator"`` back end of
-the batched compression pipeline (:mod:`repro.coding.pipeline`), whose
-output in turn feeds the persistent archive container
-(:mod:`repro.archive`) — so a cycle-accounted transform can sit at the head
-of the same encode path that writes random-access archives to disk.
+Built with a codec's word-length plan
+(``DwtAccelerator(config, plan=codec.plan)``), the accelerator's pyramids
+are bit-identical to :meth:`repro.coding.codec.LosslessWaveletCodec.forward_transform`,
+so its output is what the coefficient codec entropy-codes; the test suite
+pins that equality.  The compression pipeline itself runs the software
+transform.
 """
 
 from __future__ import annotations
@@ -217,33 +218,6 @@ class DwtAccelerator:
         self.fast_datapath = FastDatapath(self.datapath)
         self.dram = ExternalDram(self.config.image_size * self.config.image_size)
         self.refresh_timer = RefreshTimer(self.config.dram_refresh_interval_cycles)
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec,
-        image_size: int,
-        scales: Optional[int] = None,
-        plan: Optional[WordLengthPlan] = None,
-    ) -> "DwtAccelerator":
-        """Build an accelerator from a :class:`~repro.coding.spec.CodecSpec`.
-
-        The spec supplies the filter bank (by catalog name) and the
-        accelerator engine (``transform_engine``); ``image_size`` and
-        ``scales`` pin the per-frame geometry (the spec's requested depth
-        is used when ``scales`` is omitted).  Passing the codec's ``plan``
-        shares its word-length analysis, which is what keeps accelerator
-        pyramids bit-identical to the codec's own software transform.
-        The ``spec`` parameter is duck-typed (``bank_name``,
-        ``transform_engine``, ``scales``) so this module stays importable
-        without the coding layer.
-        """
-        config = ArchitectureConfig(
-            image_size=image_size,
-            scales=spec.scales if scales is None else scales,
-            bank_name=spec.bank_name or "F2",
-        )
-        return cls(config, plan=plan, engine=spec.transform_engine)
 
     # -- public API -----------------------------------------------------------------
     @property

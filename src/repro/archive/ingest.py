@@ -4,7 +4,7 @@
 frames — fine for re-packing, wrong for a modality feed (a scanner, a
 network socket, a decompressing tape robot) that produces frames over time
 and must not buffer an unbounded number of raw images.  This module wraps
-the stage pipeline's per-frame unit
+the batched pipeline's per-frame unit
 (:func:`repro.coding.pipeline.encode_frame`) in three streaming fronts:
 
 :func:`iter_compress`
@@ -48,13 +48,7 @@ from typing import AsyncIterable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ..coding.pipeline import (
-    CodecResources,
-    PipelineStats,
-    StagePipeline,
-    encode_frame,
-    encode_pipeline,
-)
+from ..coding.pipeline import CodecResources, PipelineStats, encode_frame
 from ..coding.spec import CodecSpec
 from .serialize import CompressedStream
 
@@ -106,12 +100,11 @@ def iter_compress(
     requested from the feed — constant memory with zero machinery.
     """
     resources = CodecResources(spec)
-    pipeline = encode_pipeline()
     if stats is None:
         stats = PipelineStats()
     for item in feed:
         name, frame = _split_item(item)
-        yield name, encode_frame(frame, spec, resources, stats, pipeline)
+        yield name, encode_frame(frame, spec, resources, stats)
 
 
 class _InFlightGauge:
@@ -162,7 +155,6 @@ class StreamingIngestor:
         """
         spec: CodecSpec = self.writer.spec
         resources = CodecResources(spec)
-        pipeline: StagePipeline = encode_pipeline()
         stats = PipelineStats()
         gauge = _InFlightGauge()
         permits = threading.Semaphore(self.queue_depth)
@@ -199,7 +191,7 @@ class StreamingIngestor:
                 if item is sentinel:
                     break
                 name, frame = _split_item(item)
-                stream = encode_frame(frame, spec, resources, stats, pipeline)
+                stream = encode_frame(frame, spec, resources, stats)
                 self.writer.add_stream(stream, name)
                 frames += 1
                 gauge.leave()
@@ -240,7 +232,6 @@ async def ingest_async(
         raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
     spec: CodecSpec = writer.spec
     resources = CodecResources(spec)
-    pipeline = encode_pipeline()
     stats = PipelineStats()
     gauge = _InFlightGauge()
     permits = asyncio.Semaphore(queue_depth)
@@ -280,9 +271,7 @@ async def ingest_async(
             if item is sentinel:
                 break
             name, frame = _split_item(item)
-            stream = await asyncio.to_thread(
-                encode_frame, frame, spec, resources, stats, pipeline
-            )
+            stream = await asyncio.to_thread(encode_frame, frame, spec, resources, stats)
             writer.add_stream(stream, name)
             frames += 1
             gauge.leave()

@@ -28,12 +28,8 @@ from .executor import (
 from .pipeline import (
     CompressedBatch,
     PipelineStats,
-    Stage,
-    StagePipeline,
     compress_frames,
-    decode_pipeline,
     decompress_frames,
-    encode_pipeline,
     max_dyadic_scales,
 )
 from .spec import (
@@ -100,12 +96,8 @@ __all__ = [
     "CODEC_NAMES",
     "CompressedBatch",
     "PipelineStats",
-    "Stage",
-    "StagePipeline",
     "compress_frames",
-    "decode_pipeline",
     "decompress_frames",
-    "encode_pipeline",
     "max_dyadic_scales",
     "ENGINE_NAMES",
     "CodecFamily",

@@ -205,13 +205,9 @@ class LosslessWaveletCodec:
         self.transform = FixedPointDWT(bank, scales, plan=self.plan)
 
     # -- stage API (used by the batched pipeline for per-stage timing) ------------------
-    def validate_image(self, image: np.ndarray) -> np.ndarray:
-        """Check shape and declared bit-depth range; return the image as given.
-
-        Shared by :meth:`forward_transform` and the batched pipeline's
-        accelerator-transform path, so both transform back ends accept
-        exactly the same inputs.
-        """
+    def forward_transform(self, image: np.ndarray) -> FixedPointPyramid:
+        """Check shape and declared bit-depth range, then run the bit-exact
+        fixed-point forward DWT."""
         image = np.asarray(image)
         if image.ndim != 2:
             raise ValueError("the codec compresses 2-D images")
@@ -219,11 +215,6 @@ class LosslessWaveletCodec:
             raise ValueError(
                 f"image values outside the declared {self.bit_depth}-bit range"
             )
-        return image
-
-    def forward_transform(self, image: np.ndarray) -> FixedPointPyramid:
-        """Validate the image and run the bit-exact fixed-point forward DWT."""
-        image = self.validate_image(image)
         return self.transform.forward(np.asarray(image, dtype=np.int64))
 
     def encode_pyramid(

@@ -20,13 +20,13 @@ placement maps).  Local transports ignore it and report ``node=None``, so
 callers count placement hits/fallbacks only where ``node is not None`` —
 those counters move on socket runs alone.
 
-The stage pipeline (:mod:`repro.coding.pipeline`) compresses frames
+The batched pipeline (:mod:`repro.coding.pipeline`) compresses frames
 independently, so :meth:`Executor.compress` / :meth:`Executor.decompress`
 are written once over ``run``: frames are dealt round-robin onto
 ``width()`` shards (:func:`shard_indices`), each shard runs the ordinary
 serial pipeline as one ``compress``/``decompress`` job, and
-:func:`merge_shard_results` reassembles streams (and per-frame accelerator
-reports) in the original frame order.  Because every job runs exactly the
+:func:`merge_shard_results` reassembles the streams in the original frame
+order.  Because every job runs exactly the
 code the serial path runs, the merged batch is **byte-identical** to
 serial execution on every transport; ``tests/coding/test_executor.py``
 and ``tests/coding/test_netexec.py`` prove it.
@@ -210,9 +210,7 @@ def merge_shard_results(
     """Reassemble per-shard ``(items, stats)`` results in original order.
 
     The inverse of :func:`shard_indices`: items return to their input
-    positions, the per-shard :class:`PipelineStats` are merged, and
-    accelerator reports (which arrive shard by shard) are restored to
-    frame order so merged stats read exactly like serial stats.
+    positions and the per-shard :class:`PipelineStats` are merged.
     """
     merged_items: List = [None] * count
     stats = PipelineStats()
@@ -220,16 +218,6 @@ def merge_shard_results(
         for position, item in zip(indices, shard_items):
             merged_items[position] = item
         stats.merge(shard_stats)
-    if stats.accelerator_reports:
-        ordered = sorted(
-            (
-                (position, report)
-                for indices, (_, shard_stats) in zip(shards, results)
-                for position, report in zip(indices, shard_stats.accelerator_reports)
-            ),
-            key=lambda pair: pair[0],
-        )
-        stats.accelerator_reports = [report for _, report in ordered]
     return merged_items, stats
 
 

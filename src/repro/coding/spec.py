@@ -2,8 +2,8 @@
 
 Every layer of the reproduction used to describe "how a frame is
 compressed" with its own pile of stringly-typed keywords (``codec=``,
-``engine=``, ``transform=``, ``options=``) validated against its own copy
-of the legal names.  This module replaces all of that with two pieces:
+``engine=``, ``options=``) validated against its own copy of the legal
+names.  This module replaces all of that with two pieces:
 
 * a **codec registry** — one :class:`CodecFamily` entry per codec the
   pipeline and the archive container support, carrying the family's wire
@@ -12,17 +12,24 @@ of the legal names.  This module replaces all of that with two pieces:
   rejects a bad codec name with the same message;
 * :class:`CodecSpec` — a frozen, validated, serializable description of a
   *complete* compression configuration: codec family, entropy-coding
-  engine, transform back end and engine, decomposition depth, bit depth,
-  filter bank and RLE policy, plus open extension options.
+  engine, decomposition depth, bit depth, filter bank and RLE policy, plus
+  open extension options.
 
-A spec is the unit of configuration everywhere downstream: the stage
+A spec is the unit of configuration everywhere downstream: the batched
 pipeline (:mod:`repro.coding.pipeline`) compresses with it, the parallel
-executor (:mod:`repro.coding.executor`) ships it to worker processes, the
-archive container (:mod:`repro.archive`) stores and reconstructs it per
-frame, and the accelerator model builds itself from it
-(:meth:`repro.arch.accelerator.DwtAccelerator.from_spec`).  The old
-keyword signatures keep working through :meth:`CodecSpec.from_kwargs`,
-the compatibility shim every public entry point funnels through.
+executor (:mod:`repro.coding.executor`) ships it to worker processes, and
+the archive container (:mod:`repro.archive`) stores and reconstructs it per
+frame.  The old keyword signatures keep working through
+:meth:`CodecSpec.from_kwargs`, the compatibility shim every public entry
+point funnels through.
+
+Stored spec JSON (every shard manifest carries one) still holds the
+``"transform"``/``"transform_engine"`` keys of a retired second transform
+back end, the cycle-accurate architecture model, whose output was
+bit-identical to the software transform.  :meth:`CodecSpec.to_dict` writes
+their fixed software values so stored bytes do not change, and
+:meth:`CodecSpec.from_dict` reads every value that back end ever stored as
+the one spec.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from ..filters.qmf import BiorthogonalBank
 
 __all__ = [
     "ENGINE_NAMES",
-    "TRANSFORM_NAMES",
     "default_engine",
     "resolve_engine",
     "UnknownCodecError",
@@ -53,20 +59,16 @@ __all__ = [
 
 #: Entropy-coding engine tiers every codec ships: ``"fast"`` (vectorised
 #: NumPy) and ``"scalar"`` (bit-by-bit reference).  Both are byte-identical
-#: on the wire.  The accelerator model (``transform_engine``) has the same
-#: two tiers.
+#: on the wire.
 ENGINE_NAMES = ("fast", "scalar")
 
-#: Transform-stage back ends of the pipeline.
-TRANSFORM_NAMES = ("software", "accelerator")
-
-
-def _check_engine(label: str, engine: str) -> str:
-    if engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown {label} {engine!r} (expected one of {ENGINE_NAMES})"
-        )
-    return engine
+#: The retired transform keys of stored spec JSON and every value they
+#: ever held; the first value of each is what :meth:`CodecSpec.to_dict`
+#: writes.
+_STORED_TRANSFORM_KEYS = {
+    "transform": ("software", "accelerator"),
+    "transform_engine": ENGINE_NAMES,
+}
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -83,7 +85,11 @@ def resolve_engine(engine: Optional[str]) -> str:
     # Read-compat alias of the retired turbo tier.
     if engine == "turbo":
         return "fast"
-    return _check_engine("engine", engine)
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r} (expected one of {ENGINE_NAMES})"
+        )
+    return engine
 
 
 def default_engine() -> str:
@@ -124,7 +130,6 @@ class CodecFamily:
     factory: Callable[..., object]
     option_names: Tuple[str, ...]
     uses_bank: bool
-    supports_accelerator: bool
     description: str = ""
 
 
@@ -192,8 +197,6 @@ def resolve_spec(
     codec: Optional[str] = None,
     scales: Optional[int] = None,
     engine: Optional[str] = None,
-    transform: Optional[str] = None,
-    transform_engine: Optional[str] = None,
     **codec_options: Any,
 ) -> "CodecSpec":
     """The one :class:`CodecSpec` an entry point taking both styles means.
@@ -201,20 +204,13 @@ def resolve_spec(
     An explicit ``spec`` wins, and any legacy keyword next to it is
     rejected (:func:`reject_spec_overrides`).  Otherwise the keywords build
     the spec, with the library defaults for those left ``None``:
-    s-transform, 4 scales, :func:`default_engine`, software transform.
+    s-transform, 4 scales, :func:`default_engine`.
     """
     if spec is not None:
         # The legacy keywords all default to None so an explicit value is
         # distinguishable — mixing them with spec= is rejected instead of
         # silently losing the keyword.
-        reject_spec_overrides(
-            codec_options,
-            codec=codec,
-            scales=scales,
-            engine=engine,
-            transform=transform,
-            transform_engine=transform_engine,
-        )
+        reject_spec_overrides(codec_options, codec=codec, scales=scales, engine=engine)
         return spec
     return CodecSpec.from_kwargs(
         codec=codec if codec is not None else "s-transform",
@@ -222,8 +218,6 @@ def resolve_spec(
         # None falls through to CodecSpec's default_engine() resolution
         # (fast, unless REPRO_ENGINE forces a tier).
         engine=engine,
-        transform=transform if transform is not None else "software",
-        transform_engine=transform_engine if transform_engine is not None else "fast",
         **codec_options,
     )
 
@@ -246,7 +240,6 @@ def _register_builtin_families() -> None:
             factory=STransformCodec,
             option_names=("bit_depth",),
             uses_bank=False,
-            supports_accelerator=False,
             description="compressive reversible-integer S-transform codec",
         )
     )
@@ -258,7 +251,6 @@ def _register_builtin_families() -> None:
             factory=LosslessWaveletCodec,
             option_names=("bit_depth", "bank", "use_rle", "plan"),
             uses_bank=True,
-            supports_accelerator=True,
             description="coefficient-exact fixed-point DWT codec",
         )
     )
@@ -287,12 +279,6 @@ class CodecSpec:
         byte-identical on the wire), resolved by :func:`resolve_engine`:
         ``None`` (the default) means ``"fast"`` unless the ``REPRO_ENGINE``
         environment variable forces a tier.
-    transform:
-        Transform back end, ``"software"`` or ``"accelerator"`` (the latter
-        only for families with ``supports_accelerator``).
-    transform_engine:
-        Accelerator engine when ``transform="accelerator"`` — ``"fast"`` or
-        ``"scalar"`` (:data:`ENGINE_NAMES`, with no read-compat alias).
     bit_depth:
         Input image bit depth.
     bank:
@@ -319,8 +305,6 @@ class CodecSpec:
     codec: str = "s-transform"
     scales: int = 4
     engine: Optional[str] = None
-    transform: str = "software"
-    transform_engine: str = "fast"
     bit_depth: int = 12
     bank: Optional[Any] = None
     use_rle: Optional[bool] = None
@@ -333,18 +317,6 @@ class CodecSpec:
         if not 1 <= self.bit_depth <= 16:
             raise ValueError("bit_depth must be in [1, 16]")
         object.__setattr__(self, "engine", resolve_engine(self.engine))
-        _check_engine("transform_engine", self.transform_engine)
-        if self.transform not in TRANSFORM_NAMES:
-            raise ValueError(
-                f"unknown transform {self.transform!r} "
-                f"(expected one of {TRANSFORM_NAMES})"
-            )
-        if self.transform == "accelerator" and not family.supports_accelerator:
-            raise ValueError(
-                "transform='accelerator' is only available for the "
-                "'coefficient' codec: the architecture model computes the "
-                f"filter-bank DWT, not the {self.codec!r} codec's transform"
-            )
         # Normalise family-irrelevant fields so equal configurations compare
         # (and serialise) equal regardless of how they were spelled.
         if family.uses_bank:
@@ -374,8 +346,6 @@ class CodecSpec:
             self.codec,
             self.scales,
             self.engine,
-            self.transform,
-            self.transform_engine,
             self.bit_depth,
             self.bank_name,
             self.use_rle,
@@ -459,8 +429,6 @@ class CodecSpec:
         codec: str = "s-transform",
         scales: int = 4,
         engine: Optional[str] = None,
-        transform: str = "software",
-        transform_engine: str = "fast",
         **codec_options: Any,
     ) -> "CodecSpec":
         """Compatibility shim: build a spec from the legacy keyword style.
@@ -479,8 +447,6 @@ class CodecSpec:
             codec=codec,
             scales=scales,
             engine=engine,
-            transform=transform,
-            transform_engine=transform_engine,
             bit_depth=known.get("bit_depth", 12),
             bank=known.get("bank"),
             use_rle=known.get("use_rle"),
@@ -509,8 +475,7 @@ class CodecSpec:
             "codec": self.codec,
             "scales": self.scales,
             "engine": self.engine,
-            "transform": self.transform,
-            "transform_engine": self.transform_engine,
+            **{key: values[0] for key, values in _STORED_TRANSFORM_KEYS.items()},
             "bit_depth": self.bit_depth,
             "bank": self.bank_name or None,
             "use_rle": self.use_rle,
@@ -519,14 +484,25 @@ class CodecSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CodecSpec":
+        """The one resolver for stored specs (manifests, job payloads).
+
+        The retired transform keys may hold any value they ever held — all
+        of them produced the same bytes — and load as the one spec; any
+        other value is rejected, as these are bytes from outside the
+        process.
+        """
         data = dict(data)
         options = data.pop("options", {}) or {}
+        for key, values in _STORED_TRANSFORM_KEYS.items():
+            value = data.get(key, values[0])
+            if value not in values:
+                raise ValueError(
+                    f"unknown stored {key} {value!r} (expected one of {values})"
+                )
         return cls(
             codec=data.get("codec", "s-transform"),
             scales=data.get("scales", 4),
             engine=data.get("engine", "fast"),
-            transform=data.get("transform", "software"),
-            transform_engine=data.get("transform_engine", "fast"),
             bit_depth=data.get("bit_depth", 12),
             bank=data.get("bank"),
             use_rle=data.get("use_rle"),
@@ -551,10 +527,6 @@ class CodecSpec:
         if self.use_rle is not None:
             parts.append("rle" if self.use_rle else "no-rle")
         parts.append(f"engine={self.engine}")
-        if self.transform == "accelerator":
-            parts.append(f"transform=accelerator({self.transform_engine})")
-        else:
-            parts.append("transform=software")
         for name, value in self.extras:
             parts.append(f"{name}={value!r}")
         return " ".join(parts)

@@ -10,6 +10,7 @@ from repro.arch.accelerator import (
     inverse_macrocycles,
 )
 from repro.arch.config import ArchitectureConfig, paper_configuration
+from repro.coding.codec import LosslessWaveletCodec
 from repro.filters.catalog import get_bank
 from repro.fxdwt.transform import FixedPointDWT
 from repro.imaging.phantoms import random_image, shepp_logan
@@ -111,6 +112,40 @@ class TestSimulatedRuns:
         bank = get_bank("F2")
         expected = forward_macrocycles(32, 3) // 2 * bank.mac_per_output_pair
         assert forward_report.multiplies == expected
+
+
+#: (size, bank, engine): both catalog banks at every size on the fast
+#: engine; the per-macro-cycle scalar engine at 32 only.
+CODEC_CASES = [
+    (size, bank, "fast") for size in (32, 64, 128) for bank in ("F2", "F5")
+] + [(32, bank, "scalar") for bank in ("F2", "F5")]
+
+
+class TestCodecBitIdentity:
+    """Built on the coefficient codec's own word-length plan, the
+    accelerator computes exactly the pyramid that codec entropy-codes."""
+
+    @pytest.mark.parametrize("size, bank, engine", CODEC_CASES)
+    def test_forward_and_streams_equal_codec_transform(self, size, bank, engine):
+        scales = 3
+        codec = LosslessWaveletCodec(bank, scales)
+        accelerator = DwtAccelerator(
+            ArchitectureConfig(image_size=size, scales=scales, bank_name=bank),
+            plan=codec.plan,
+            engine=engine,
+        )
+        frame = random_image(size, seed=11) if size == 32 else shepp_logan(size)
+        pyramid, _ = accelerator.forward(frame)
+        software = codec.forward_transform(frame)
+        assert np.array_equal(pyramid.approximation, software.approximation)
+        for ours, reference in zip(pyramid.details, software.details):
+            assert np.array_equal(ours.hg, reference.hg)
+            assert np.array_equal(ours.gh, reference.gh)
+            assert np.array_equal(ours.gg, reference.gg)
+        # So the entropy-coded streams are wire-identical too.
+        assert codec.encode_pyramid(pyramid, frame.shape).chunks == codec.encode(frame).chunks
+        restored, _ = accelerator.inverse(pyramid)
+        assert np.array_equal(restored, frame)
 
 
 class TestInputValidation:

@@ -245,6 +245,30 @@ class TestShardedWriter:
             for name, original in zip(["extra_0", "extra_1"], extra):
                 assert np.array_equal(reader.decode(name), original)
 
+    def test_accelerator_manifest_spec_opens_decodes_and_appends(self, tmp_path):
+        """A set whose manifest names the retired accelerator transform (as
+        sets packed through it do; its streams were bit-identical to the
+        software transform's) stays readable and appendable."""
+        frames = series(count=4)
+        path = make_set(tmp_path, 2, frames, spec=CodecSpec(codec="coefficient", scales=2))
+        manifest = unpack_manifest(path.read_bytes())
+        stored = json.loads(manifest.spec_json)
+        stored.update(transform="accelerator", transform_engine="scalar")
+        path.write_bytes(
+            pack_manifest(replace(manifest, spec_json=json.dumps(stored, sort_keys=True)))
+        )
+        with ShardedArchiveReader(path) as reader:
+            assert reader.spec.to_json() == manifest.spec_json
+            for name, original in zip(names_for(4), frames):
+                assert np.array_equal(reader.decode(name), original)
+        extra = series(count=2, seed=9)
+        with ShardedArchiveWriter.append(path) as writer:
+            writer.append_batch(extra, names=["extra_0", "extra_1"])
+        with ShardedArchiveReader(path) as reader:
+            assert len(reader) == 6
+            for name, original in zip(["extra_0", "extra_1"], extra):
+                assert np.array_equal(reader.decode(name), original)
+
     def test_reader_resolves_engine_when_opened(self, tmp_path):
         path = make_set(tmp_path, 2, series(count=2))
         with pytest.raises(ValueError, match="unknown engine 'bogus'"):

@@ -72,6 +72,19 @@ class TestLosslessWaveletCodec:
         with pytest.raises(ValueError):
             LosslessWaveletCodec("F2", scales=2, bit_depth=0)
 
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            (np.zeros(64, dtype=np.int64), "2-D images"),
+            (np.full((16, 16), 5000, dtype=np.int64), "declared 12-bit range"),
+        ],
+        ids=["non-2d", "out-of-range"],
+    )
+    def test_forward_transform_validates_input(self, codec, image, message):
+        # The pipeline calls forward_transform directly, so the checks live there.
+        with pytest.raises(ValueError, match=message):
+            codec.forward_transform(image)
+
 
 class TestSTransform:
     def test_1d_round_trip(self, rng):

@@ -1,8 +1,8 @@
 """Parallel/serial byte-identity of the multi-core executor.
 
 The contract under test: sharding a batch across a process pool changes
-*nothing* about the streams — every codec/engine/transform combination
-produces byte-identical output at every worker count, and parallel decode
+*nothing* about the streams — every codec/engine combination produces
+byte-identical output at every worker count, and parallel decode
 reconstructs every frame bit for bit.
 """
 
@@ -23,7 +23,7 @@ from repro.imaging.phantoms import (
 
 
 def mixed_batch_32():
-    """32 mixed-size, mixed-content square frames (accelerator-compatible)."""
+    """32 mixed-size, mixed-content square frames."""
     makers = [
         lambda i: shepp_logan(32),
         lambda i: random_image(16, seed=i),
@@ -37,20 +37,12 @@ def mixed_batch_32():
     return [makers[i % len(makers)](i) for i in range(32)]
 
 
-#: Every codec/engine/transform combination the pipeline supports.
+#: Every codec/engine combination the pipeline supports.
 CONFIGS = [
     CodecSpec(codec="s-transform", scales=3, engine="fast"),
     CodecSpec(codec="s-transform", scales=3, engine="scalar"),
     CodecSpec(codec="coefficient", scales=3, engine="fast"),
     CodecSpec(codec="coefficient", scales=3, engine="scalar"),
-    CodecSpec(codec="coefficient", scales=3, engine="fast", transform="accelerator"),
-    CodecSpec(
-        codec="coefficient",
-        scales=2,
-        engine="fast",
-        transform="accelerator",
-        transform_engine="scalar",
-    ),
 ]
 
 
@@ -62,7 +54,7 @@ def _chunks(stream):
 
 class TestByteIdentity:
     @pytest.mark.parametrize(
-        "spec", CONFIGS, ids=lambda s: f"{s.codec}-{s.engine}-{s.transform[:5]}-{s.transform_engine}"
+        "spec", CONFIGS, ids=lambda s: f"{s.codec}-{s.engine}"
     )
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_parallel_equals_serial(self, spec, workers):
@@ -70,7 +62,7 @@ class TestByteIdentity:
         # reference; a smaller batch keeps the matrix fast without losing
         # the mixed-size coverage.
         frames = mixed_batch_32()
-        if spec.engine == "scalar" or spec.transform_engine == "scalar":
+        if spec.engine == "scalar":
             frames = frames[:8]
         serial = compress_frames(frames, spec=spec)
         parallel = compress_frames(frames, spec=spec, workers=workers)
@@ -89,11 +81,6 @@ class TestByteIdentity:
             # batch elapsed time.
             rendered = parallel.stats.render()
             assert "cpu total" in rendered and "elapsed" in rendered
-        if spec.transform == "accelerator":
-            # Per-frame run reports come back in frame order, like serial.
-            assert [r.macrocycles for r in parallel.stats.accelerator_reports] == [
-                r.macrocycles for r in serial.stats.accelerator_reports
-            ]
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_decode_lossless(self, workers):
@@ -105,38 +92,6 @@ class TestByteIdentity:
             assert np.array_equal(original, reconstructed)
         assert stats.frames == len(frames)
         assert set(stats.stage_seconds) == {"entropy_decode", "inverse"}
-
-    def test_decode_keeps_spec_transform_engine(self):
-        """An omitted transform_engine override keeps the batch spec's
-        stored accelerator engine instead of clobbering it to "fast"."""
-        frames = [shepp_logan(32)]
-        spec = CodecSpec(
-            codec="coefficient",
-            scales=2,
-            transform="accelerator",
-            transform_engine="scalar",
-        )
-        batch = compress_frames(frames, spec=spec)
-        decoded, stats = decompress_frames(batch)
-        assert np.array_equal(decoded[0], frames[0])
-        # The run report proves which engine decoded: the scalar engine was
-        # requested by the spec and must have been used (engine choice does
-        # not change the report's counters, so assert via the spec plumbing).
-        from repro.coding.pipeline import CodecResources
-
-        resources = CodecResources(batch.resolved_spec())
-        accelerator = resources.accelerator_for(resources.codec_for(2), 32, 2)
-        assert accelerator.engine == "scalar"
-
-    def test_parallel_decode_accelerator_transform(self):
-        frames = [shepp_logan(32), random_image(32, seed=5), shepp_logan(64)]
-        spec = CodecSpec(codec="coefficient", scales=2, transform="accelerator")
-        batch = compress_frames(frames, spec=spec, workers=2)
-        decoded, stats = decompress_frames(batch, workers=2)
-        for original, reconstructed in zip(frames, decoded):
-            assert np.array_equal(original, reconstructed)
-        assert len(stats.accelerator_reports) == len(frames)
-        assert all(r.direction == "inverse" for r in stats.accelerator_reports)
 
 
 class TestExecutorApi:

@@ -2,8 +2,8 @@
 
 The contract under test mirrors ``test_executor.py`` over TCP: sharding a
 batch across socket workers changes *nothing* about the streams — both
-codecs, both entropy engine tiers (fast/scalar), software and
-accelerator transforms, at 1/2/4 workers — and the ``workers="host:port"``
+codecs and both entropy engine tiers (fast/scalar), at 1/2/4 workers — and
+the ``workers="host:port"``
 seam reaches the socket pool from every existing call site signature.
 """
 
@@ -59,7 +59,7 @@ from repro.imaging.phantoms import (
 
 
 def mixed_batch_32():
-    """32 mixed-size, mixed-content square frames (accelerator-compatible)."""
+    """32 mixed-size, mixed-content square frames."""
     makers = [
         lambda i: shepp_logan(32),
         lambda i: random_image(16, seed=i),
@@ -73,21 +73,12 @@ def mixed_batch_32():
     return [makers[i % len(makers)](i) for i in range(32)]
 
 
-#: The acceptance matrix: both codecs x {fast, scalar} entropy tiers
-#: x software + accelerator transforms.
+#: The acceptance matrix: both codecs x {fast, scalar} entropy tiers.
 CONFIGS = [
     CodecSpec(codec="s-transform", scales=3, engine="fast"),
     CodecSpec(codec="s-transform", scales=3, engine="scalar"),
     CodecSpec(codec="coefficient", scales=3, engine="fast"),
     CodecSpec(codec="coefficient", scales=3, engine="scalar"),
-    CodecSpec(codec="coefficient", scales=3, engine="fast", transform="accelerator"),
-    CodecSpec(
-        codec="coefficient",
-        scales=2,
-        engine="fast",
-        transform="accelerator",
-        transform_engine="scalar",
-    ),
 ]
 
 
@@ -115,14 +106,14 @@ class TestByteIdentity:
     @pytest.mark.parametrize(
         "spec",
         CONFIGS,
-        ids=lambda s: f"{s.codec}-{s.engine}-{s.transform[:5]}-{s.transform_engine}",
+        ids=lambda s: f"{s.codec}-{s.engine}",
     )
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_socket_pool_equals_serial(self, addresses, spec, workers):
         # The scalar tiers are the deliberately slow bit-by-bit references;
         # a smaller batch keeps the matrix fast without losing coverage.
         frames = mixed_batch_32()
-        if spec.engine == "scalar" or spec.transform_engine == "scalar":
+        if spec.engine == "scalar":
             frames = frames[:8]
         pool = ",".join(addresses[:workers])
         serial = compress_frames(frames, spec=spec)
@@ -136,11 +127,6 @@ class TestByteIdentity:
         assert set(distributed.stats.stage_seconds) == set(serial.stats.stage_seconds)
         assert distributed.stats.workers == min(workers, len(frames))
         assert distributed.stats.wall_seconds > 0.0
-        if spec.transform == "accelerator":
-            # Per-frame run reports come back in frame order, like serial.
-            assert [r.macrocycles for r in distributed.stats.accelerator_reports] == [
-                r.macrocycles for r in serial.stats.accelerator_reports
-            ]
         # And the decode direction reconstructs bit for bit through the pool.
         decoded, stats = decompress_frames(distributed, workers=pool)
         for original, reconstructed in zip(frames, decoded):

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.coding.pipeline import (
+    DECODE_STAGES,
+    ENCODE_STAGES,
+    CodecResources,
+    PipelineStats,
     compress_frames,
     decompress_frames,
+    encode_frame,
     max_dyadic_scales,
 )
+from repro.coding.spec import CodecSpec
 from repro.imaging.mr import mr_slice
 from repro.imaging.phantoms import (
     checkerboard,
@@ -98,6 +104,13 @@ class TestCompressDecompressFrames:
         with pytest.raises(ValueError):
             compress_frames([shepp_logan(64)], codec="jpeg2000")
 
+    @pytest.mark.parametrize("transform", ["software", "accelerator", "fpga"])
+    def test_transform_keyword_rejected(self, transform):
+        # There is one transform path; a stray transform= lands in the codec
+        # options and is rejected there, never silently ignored.
+        with pytest.raises(ValueError, match="transform"):
+            compress_frames([shepp_logan(64)], codec="coefficient", transform=transform)
+
     def test_undecomposable_frame_rejected(self):
         with pytest.raises(ValueError):
             compress_frames([np.zeros((63, 63), dtype=np.int64)])
@@ -111,117 +124,53 @@ class TestCompressDecompressFrames:
         assert np.array_equal(decoded[0], shepp_logan(32))
 
 
-class TestAcceleratorTransform:
-    """End-to-end image -> accelerator transform -> codec -> bitstream path."""
+class TestOneTransformPath:
+    """Every frame runs its codec's own forward and inverse transform, each
+    direction timed as the two stages of ``ENCODE_STAGES``/``DECODE_STAGES``."""
 
-    def square_frames(self):
-        return [shepp_logan(64), random_image(32, seed=11), shepp_logan(128)]
+    @pytest.mark.parametrize("codec", ["s-transform", "coefficient"])
+    def test_stage_seconds_keys(self, codec):
+        batch = compress_frames(mixed_batch()[:3], codec=codec, scales=3)
+        assert set(batch.stats.stage_seconds) == set(ENCODE_STAGES)
+        _, stats = decompress_frames(batch)
+        assert set(stats.stage_seconds) == set(DECODE_STAGES)
 
-    def test_streams_wire_identical_to_software_transform(self):
-        frames = self.square_frames()
-        software = compress_frames(frames, codec="coefficient", scales=3)
-        hardware = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
-        )
-        assert hardware.transform == "accelerator"
-        for sw, hw in zip(software.streams, hardware.streams):
-            assert sw.chunks == hw.chunks
+    @pytest.mark.parametrize("codec", ["s-transform", "coefficient"])
+    def test_encode_frame_matches_compress_frames(self, codec):
+        # The streaming ingest front end calls encode_frame one frame at a
+        # time; it must write the batch's bytes and counters.
+        frames = mixed_batch()[:3]
+        spec = CodecSpec(codec=codec, scales=3)
+        batch = compress_frames(frames, spec=spec)
+        resources = CodecResources(spec)
+        stats = PipelineStats()
+        streams = [encode_frame(frame, spec, resources, stats) for frame in frames]
+        assert [s.chunks for s in streams] == [s.chunks for s in batch.streams]
+        assert stats.frames == len(frames)
+        assert stats.pixels == batch.stats.pixels
+        assert stats.compressed_bytes == batch.compressed_bytes
+        assert set(stats.stage_seconds) == set(ENCODE_STAGES)
 
-    def test_roundtrip_lossless_with_run_reports(self):
-        frames = self.square_frames()
-        batch = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
-        )
-        reports = batch.stats.accelerator_reports
-        assert len(reports) == len(frames)
-        assert all(report.direction == "forward" for report in reports)
-        assert all(report.macrocycles > 0 for report in reports)
-        decoded, stats = decompress_frames(batch)
+    @pytest.mark.parametrize("codec", ["s-transform", "coefficient"])
+    def test_non_square_frames_roundtrip(self, codec):
+        tall = np.arange(64 * 32, dtype=np.int64).reshape(64, 32) % 4096
+        frames = [tall, np.ascontiguousarray(tall.T)]
+        batch = compress_frames(frames, codec=codec, scales=3)
+        decoded, _ = decompress_frames(batch)
         for original, reconstructed in zip(frames, decoded):
             assert np.array_equal(original, reconstructed)
-        # The batch remembers its transform: decode also ran the accelerator.
-        assert len(stats.accelerator_reports) == len(frames)
-        assert all(report.direction == "inverse" for report in stats.accelerator_reports)
 
-    def test_cross_transform_decode(self):
-        frames = self.square_frames()
-        hardware = compress_frames(
-            frames, codec="coefficient", scales=3, transform="accelerator"
-        )
-        decoded, stats = decompress_frames(hardware, transform="software")
-        for original, reconstructed in zip(frames, decoded):
-            assert np.array_equal(original, reconstructed)
-        assert stats.accelerator_reports == []
-        software = compress_frames(frames, codec="coefficient", scales=3)
-        decoded, stats = decompress_frames(software, transform="accelerator")
-        for original, reconstructed in zip(frames, decoded):
-            assert np.array_equal(original, reconstructed)
-        assert len(stats.accelerator_reports) == len(frames)
-
-    def test_scalar_transform_engine(self):
-        frames = [random_image(32, seed=2)]
-        fast = compress_frames(
-            frames, codec="coefficient", scales=2, transform="accelerator"
-        )
-        scalar = compress_frames(
-            frames,
-            codec="coefficient",
-            scales=2,
-            transform="accelerator",
-            transform_engine="scalar",
-        )
-        for a, b in zip(fast.streams, scalar.streams):
-            assert a.chunks == b.chunks
-        assert [r.macrocycles for r in fast.stats.accelerator_reports] == [
-            r.macrocycles for r in scalar.stats.accelerator_reports
-        ]
-
-    def test_custom_bank_rejected(self):
-        # A non-catalog bank would silently be replaced by the catalog taps
-        # of the same name inside the accelerator config; refuse instead.
+    def test_custom_bank_matches_catalog_bank(self):
+        # A bank object with the catalog taps writes the catalog bank's bytes.
         import dataclasses
 
         from repro.filters.catalog import get_bank
 
+        frames = [shepp_logan(64), random_image(32, seed=11)]
         custom = dataclasses.replace(get_bank("F2"))
-        with pytest.raises(ValueError, match="catalog"):
-            compress_frames(
-                [shepp_logan(64)],
-                codec="coefficient",
-                scales=2,
-                transform="accelerator",
-                bank=custom,
-            )
-
-    def test_s_transform_codec_rejected(self):
-        with pytest.raises(ValueError):
-            compress_frames([shepp_logan(64)], transform="accelerator")
-
-    def test_unknown_transform_rejected(self):
-        with pytest.raises(ValueError):
-            compress_frames(
-                [shepp_logan(64)], codec="coefficient", transform="fpga"
-            )
-
-    def test_non_square_frame_rejected(self):
-        with pytest.raises(ValueError):
-            compress_frames(
-                [np.zeros((64, 32), dtype=np.int64)],
-                codec="coefficient",
-                transform="accelerator",
-            )
-
-    @pytest.mark.parametrize("transform_engine", ["fast", "scalar"])
-    def test_non_square_stream_rejected_on_decode(self, transform_engine):
-        # A rectangular frame compresses fine on the software path, but
-        # decoding it through the square-only accelerator must fail with a
-        # clean ValueError, not run (or crash) on a rectangle.
-        batch = compress_frames(
-            [np.arange(64 * 32, dtype=np.int64).reshape(64, 32) % 4096],
-            codec="coefficient",
-            scales=3,
-        )
-        with pytest.raises(ValueError, match="square"):
-            decompress_frames(
-                batch, transform="accelerator", transform_engine=transform_engine
-            )
+        catalog = compress_frames(frames, codec="coefficient", scales=2, bank="F2")
+        batch = compress_frames(frames, codec="coefficient", scales=2, bank=custom)
+        assert [s.chunks for s in batch.streams] == [s.chunks for s in catalog.streams]
+        decoded, _ = decompress_frames(batch)
+        for original, reconstructed in zip(frames, decoded):
+            assert np.array_equal(original, reconstructed)

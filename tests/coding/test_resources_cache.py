@@ -1,4 +1,4 @@
-"""Process-wide codec/accelerator LRU: amortisation across runs and layers."""
+"""Process-wide codec LRU: amortisation across runs and layers."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.coding.pipeline import (
     CodecResources,
     clear_resource_cache,
     compress_frames,
+    decompress_frames,
     resource_cache_info,
 )
 from repro.coding.spec import CodecSpec
@@ -43,19 +44,6 @@ def test_different_scales_are_distinct_entries():
     assert resource_cache_info()["size"] == 2
 
 
-def test_accelerators_cached_per_run_only():
-    """Accelerators reuse within one CodecResources (per geometry) but are
-    never shared across instances: a DwtAccelerator run mutates its DRAM
-    model, so a process-wide instance would corrupt concurrent encodes."""
-    spec = CodecSpec(codec="coefficient", scales=2, transform="accelerator")
-    resources = CodecResources(spec)
-    codec = resources.codec_for(2)
-    first = resources.accelerator_for(codec, 32, 2)
-    assert resources.accelerator_for(codec, 32, 2) is first
-    assert resources.accelerator_for(codec, 64, 2) is not first
-    assert CodecResources(spec).accelerator_for(codec, 32, 2) is not first
-
-
 def test_pipeline_runs_amortise_across_batches():
     """Two compress_frames calls with the same spec build the codec once."""
     frames = [shepp_logan(32)]
@@ -66,6 +54,16 @@ def test_pipeline_runs_amortise_across_batches():
     info = resource_cache_info()
     assert info["misses"] == misses_after_first  # second batch: all hits
     assert info["hits"] > 0
+
+
+def test_decode_reuses_the_encode_codec():
+    """A batch decodes with the spec it was written under, so the codec its
+    encode built serves its decode too."""
+    spec = CodecSpec(codec="coefficient", scales=2, bank="F2")
+    batch = compress_frames([shepp_logan(32)], spec=spec)
+    misses_after_encode = resource_cache_info()["misses"]
+    decompress_frames(batch)
+    assert resource_cache_info()["misses"] == misses_after_encode
 
 
 def test_instance_bank_specs_stay_local():

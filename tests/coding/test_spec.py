@@ -61,7 +61,6 @@ class TestRegistry:
                     factory=LosslessWaveletCodec,
                     option_names=(),
                     uses_bank=True,
-                    supports_accelerator=False,
                 )
             )
 
@@ -85,7 +84,6 @@ class TestRegistry:
             factory=STransformCodec,
             option_names=("bit_depth",),
             uses_bank=False,
-            supports_accelerator=False,
         )
         registry = dict(spec_module._REGISTRY)
         registry[family.name] = family
@@ -107,7 +105,6 @@ class TestValidation:
         assert spec.codec == "s-transform"
         assert spec.scales == 4
         assert spec.engine == "fast"
-        assert spec.transform == "software"
         assert spec.bank is None and spec.use_rle is None
 
     def test_engine_default_resolves_through_environment(self, monkeypatch):
@@ -135,10 +132,6 @@ class TestValidation:
         assert CodecSpec.from_json(json.dumps(stored)) == CodecSpec(
             codec="coefficient", scales=3, engine="fast"
         )
-        # The alias is for stored entropy tiers only: transform_engine
-        # never had a turbo tier and keeps rejecting it.
-        with pytest.raises(ValueError, match="transform_engine"):
-            CodecSpec(codec="coefficient", transform_engine="turbo")
 
     def test_coefficient_normalises_bank_and_rle(self):
         spec = CodecSpec(codec="coefficient")
@@ -150,20 +143,15 @@ class TestValidation:
         with pytest.raises(UnknownCodecError):
             CodecSpec(codec="jpeg2000")
 
-    @pytest.mark.parametrize("field", ["engine", "transform_engine"])
-    def test_bad_engine(self, field):
+    def test_bad_engine(self):
         with pytest.raises(ValueError, match="unknown"):
-            CodecSpec(**{field: "quantum"})
+            CodecSpec(engine="quantum")
 
     def test_bad_transform(self):
+        # There is one transform path: a transform keyword is an unknown
+        # codec option, rejected when the spec is built.
         with pytest.raises(ValueError, match="transform"):
-            CodecSpec(transform="fpga")
-
-    def test_accelerator_requires_capable_codec(self):
-        with pytest.raises(ValueError, match="accelerator"):
-            CodecSpec(codec="s-transform", transform="accelerator")
-        # The coefficient codec supports it.
-        CodecSpec(codec="coefficient", transform="accelerator")
+            CodecSpec.from_kwargs(codec="coefficient", transform="fpga")
 
     def test_scales_and_bit_depth_ranges(self):
         with pytest.raises(ValueError, match="scales"):
@@ -299,16 +287,6 @@ class TestResolveEngine:
         assert resolve_engine("turbo") == "fast"
         assert CodecSpec(engine="fast").engine == "fast"
 
-    @pytest.mark.parametrize("value", ["fast", "scalar"])
-    def test_transform_engine_accepts_both_tiers(self, value):
-        spec = CodecSpec(codec="coefficient", transform="accelerator", transform_engine=value)
-        assert spec.transform_engine == value
-
-    @pytest.mark.parametrize("value", ["turbo", "", "bogus"])
-    def test_transform_engine_has_no_alias(self, value):
-        with pytest.raises(ValueError, match="transform_engine"):
-            CodecSpec(codec="coefficient", transform_engine=value)
-
     @pytest.mark.parametrize("factory", [STransformCodec, LosslessWaveletCodec])
     @pytest.mark.parametrize(
         "name, expected", [(None, "fast"), ("scalar", "scalar"), ("turbo", "fast")]
@@ -350,7 +328,6 @@ class TestBuildAndReplace:
         spec = CodecSpec(codec="coefficient")
         with pytest.raises(ValueError):
             spec.replace(engine="quantum")
-        assert spec.replace(transform="accelerator").transform == "accelerator"
 
 
 class TestSerialisation:
@@ -360,12 +337,7 @@ class TestSerialisation:
             CodecSpec(),
             CodecSpec(codec="s-transform", scales=6, engine="scalar", bit_depth=8),
             CodecSpec(codec="coefficient", bank="F1", use_rle=False, bit_depth=10),
-            CodecSpec(
-                codec="coefficient",
-                transform="accelerator",
-                transform_engine="scalar",
-                scales=2,
-            ),
+            CodecSpec(codec="coefficient", scales=2, engine="scalar"),
         ],
     )
     def test_json_roundtrip(self, spec):
@@ -414,10 +386,78 @@ class TestSerialisation:
         assert spec.replace_options() is spec
 
     def test_describe_is_compact(self):
-        text = CodecSpec(codec="coefficient", transform="accelerator").describe()
+        text = CodecSpec(codec="coefficient", engine="scalar").describe()
         assert "coefficient" in text and "bank=F2" in text
-        assert "accelerator(fast)" in text
+        assert "engine=scalar" in text
         assert "\n" not in text
+
+
+#: ``tests/archive/test_spec_roundtrip.py``'s SPECS (at the fast tier) and
+#: their JSON as the pipeline wrote it while it still had a second
+#: transform back end: manifests hold these bytes, so they must not move.
+STORED_JSON = [
+    (
+        CodecSpec(codec="s-transform", scales=3, bit_depth=12, engine="fast"),
+        '{"bank": null, "bit_depth": 12, "codec": "s-transform", "engine": "fast", '
+        '"options": {}, "scales": 3, "transform": "software", '
+        '"transform_engine": "fast", "use_rle": null}',
+    ),
+    (
+        CodecSpec(
+            codec="coefficient", scales=2, bank="F1", use_rle=False, bit_depth=12,
+            engine="fast",
+        ),
+        '{"bank": "F1", "bit_depth": 12, "codec": "coefficient", "engine": "fast", '
+        '"options": {}, "scales": 2, "transform": "software", '
+        '"transform_engine": "fast", "use_rle": false}',
+    ),
+    (
+        CodecSpec(
+            codec="coefficient", scales=3, bank="F2", use_rle=True, bit_depth=12,
+            engine="fast",
+        ),
+        '{"bank": "F2", "bit_depth": 12, "codec": "coefficient", "engine": "fast", '
+        '"options": {}, "scales": 3, "transform": "software", '
+        '"transform_engine": "fast", "use_rle": true}',
+    ),
+]
+
+
+class TestStoredTransformKeys:
+    """Stored spec JSON keeps the keys of the retired accelerator transform
+    back end, whose streams were bit-identical to the software transform."""
+
+    @pytest.mark.parametrize("spec, golden", STORED_JSON, ids=["s-transform", "F1", "F2"])
+    def test_to_json_bytes_unchanged(self, spec, golden):
+        assert spec.to_json() == golden
+        assert CodecSpec.from_json(golden) == spec
+
+    def test_accelerator_spec_loads_as_the_software_spec(self):
+        stored = json.loads(STORED_JSON[2][1])
+        stored.update(transform="accelerator", transform_engine="scalar")
+        spec = CodecSpec.from_json(json.dumps(stored, sort_keys=True))
+        assert spec == STORED_JSON[2][0]
+        assert spec.to_json() == STORED_JSON[2][1]
+
+    @pytest.mark.parametrize("transform", ["software", "accelerator"])
+    @pytest.mark.parametrize("transform_engine", ["fast", "scalar"])
+    def test_every_stored_value_loads(self, transform, transform_engine):
+        stored = json.loads(STORED_JSON[0][1])
+        stored.update(transform=transform, transform_engine=transform_engine)
+        assert CodecSpec.from_dict(stored) == STORED_JSON[0][0]
+
+    def test_keys_may_be_absent(self):
+        stored = json.loads(STORED_JSON[1][1])
+        del stored["transform"], stored["transform_engine"]
+        assert CodecSpec.from_dict(stored) == STORED_JSON[1][0]
+
+    @pytest.mark.parametrize("key", ["transform", "transform_engine"])
+    @pytest.mark.parametrize("value", ["fpga", "turbo"])
+    def test_unknown_stored_value_rejected(self, key, value):
+        stored = json.loads(STORED_JSON[2][1])
+        stored[key] = value
+        with pytest.raises(ValueError, match=key):
+            CodecSpec.from_json(json.dumps(stored))
 
 
 class TestBatchSpec:
