@@ -15,17 +15,20 @@ The cycle-accurate architecture model of :mod:`repro.arch` is validated
 against this transform for bit-exact equality, mirroring the paper's own
 validation of the VHDL model against a software implementation.
 
-Passes are polyphase and in Mallat layout, as the Fig. 3 datapath streams
-them: every sample of a line is read once and feeds both the low-pass and
-the high-pass MAC.  A tap at index ``2*m + p`` reads phase ``p`` (the even
-or odd samples) shifted by ``m``, so each tap is a contiguous slice of one
-circularly extended phase array, and the two filters of a pass share that
-one extension.  A row pass writes ``[lo | hi]``; the column pass over it
-writes ``[[HH, GH], [HG, GG]]``; synthesis runs the same layout backwards.
-Taps sharing a stored coefficient are folded (``c*(a + b)``).  Folding and
-reordering are exact: ``int64`` arithmetic is arithmetic modulo ``2**64``,
-like the §3 64-bit accumulator, so every output word equals the tap-by-tap
-multiply-accumulate.
+Each pass is one multiply-accumulate kernel, as the Fig. 3 datapath
+streams it: every sample of a line is read once and feeds both the
+low-pass and the high-pass MAC, whose taps come from one coefficient
+memory.  The line is extended circularly through one cached wrap index,
+cut into stride-2 windows, and multiplied by a small read-only ``(2, W)``
+``int64`` matrix holding both filters' stored taps: one ``np.matmul`` per
+pass.  A row pass writes ``[lo | hi]``; the column pass over it writes
+``[[HH, GH], [HG, GG]]``.  Synthesis runs on the polyphase-interleaved
+bands (approximation and details alternating along both axes), and each
+window yields both output phases: the column synthesis writes the row
+synthesis's interleaved input, and the row synthesis writes the image.
+``int64`` matmul is arithmetic modulo ``2**64``, like the §3 64-bit
+accumulator, and reordering or zero taps cannot change a sum modulo
+``2**64``, so every output word equals the tap-by-tap multiply-accumulate.
 """
 
 from __future__ import annotations
@@ -84,10 +87,7 @@ def quantize_filter(filt: SymmetricFilter, fmt: QFormat) -> QuantizedFilter:
     )
 
 
-# -- polyphase kernels ---------------------------------------------------------------
-#: One MAC term: a stored coefficient and the ``(source, start)`` slices it
-#: multiplies (several when taps sharing the coefficient are folded).
-_Term = Tuple[int, Tuple[Tuple[int, int], ...]]
+# -- the pass kernel ----------------------------------------------------------------
 _FilterKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -97,116 +97,97 @@ def _filter_key(qfilt: QuantizedFilter) -> _FilterKey:
     return qfilt.indices, qfilt.stored_taps
 
 
-def _fold(taps: Sequence[Tuple[int, int, int]]) -> Tuple[_Term, ...]:
-    """Group ``(stored, source, start)`` taps by coefficient."""
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for stored, source, start in taps:
-        groups.setdefault(stored, []).append((source, start))
-    return tuple((stored, tuple(slices)) for stored, slices in groups.items())
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # Cached and shared by every engine and thread.
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=64)
-def _analysis_plan(
-    filters: Tuple[_FilterKey, ...]
-) -> Tuple[int, int, Tuple[Tuple[_Term, ...], ...]]:
-    """``(before, after, terms per filter)`` of one analysis pass.
+def _analysis_matrix(filters: Tuple[_FilterKey, ...]) -> Tuple[int, np.ndarray]:
+    """``(first, C)`` of one analysis pass, one row of ``C`` per filter.
 
-    Output ``i`` of tap ``idx = 2*m + p`` reads phase ``p`` at ``i + m``,
-    i.e. slice start ``before + m`` of the phase extended circularly by
-    ``before``/``after`` samples.
+    Output ``i`` of filter ``f`` is ``sum_w C[f, w] * x[(2*i + first + w) % n]``:
+    tap ``idx`` sits in column ``idx - first``, ``first`` being the lowest
+    tap index of the pass.
     """
-    ms = [idx // 2 for indices, _ in filters for idx in indices]
-    before, after = max(0, -min(ms)), max(0, max(ms))
-    terms = tuple(
-        _fold([(c, idx % 2, before + idx // 2) for idx, c in zip(indices, stored)])
-        for indices, stored in filters
-    )
-    return before, after, terms
+    taps = [idx for indices, _ in filters for idx in indices]
+    first = min(taps)
+    matrix = np.zeros((len(filters), max(taps) - first + 1), dtype=np.int64)
+    for row, (indices, stored) in enumerate(filters):
+        matrix[row, np.subtract(indices, first)] = stored
+    return first, _read_only(matrix)
 
 
 @lru_cache(maxsize=64)
-def _synthesis_plan(
+def _synthesis_matrix(
     lowpass: _FilterKey, highpass: _FilterKey
-) -> Tuple[int, int, Tuple[Tuple[_Term, ...], Tuple[_Term, ...]]]:
-    """``(before, after, terms per output phase)`` of one synthesis pass.
+) -> Tuple[int, np.ndarray]:
+    """``(m_max, D)`` of one synthesis pass over the interleaved bands
+    ``z[2*a] = lo[a]``, ``z[2*a + 1] = hi[a]``.
 
-    Output phase ``p`` at ``j`` takes tap ``idx = 2*m + p`` of source 0
-    (low band) or 1 (high band) at ``j - m``: slice start ``before - m`` of
-    the band extended circularly by ``before``/``after`` samples.
+    Output ``2*j + p`` is ``sum_w D[p, w] * z[(2*(j - m_max) + w) % n]``:
+    tap ``idx = 2*m + p`` of band ``s`` adds ``band_s[j - m] = z[2*(j - m) + s]``
+    to output ``2*j + p``, so it sits in row ``p``, column ``2*(m_max - m) + s``.
     """
     ms = [idx // 2 for indices, _ in (lowpass, highpass) for idx in indices]
-    before, after = max(0, max(ms)), max(0, -min(ms))
-    terms = tuple(
-        _fold(
-            [
-                (c, source, before - idx // 2)
-                for source, (indices, stored) in enumerate((lowpass, highpass))
-                for idx, c in zip(indices, stored)
-                if idx % 2 == phase
-            ]
-        )
-        for phase in (0, 1)
-    )
-    return before, after, terms
+    m_max = max(ms)
+    matrix = np.zeros((2, 2 * (m_max - min(ms) + 1)), dtype=np.int64)
+    for source, (indices, stored) in enumerate((lowpass, highpass)):
+        for idx, c in zip(indices, stored):
+            matrix[idx % 2, 2 * (m_max - idx // 2) + source] = c
+    return m_max, _read_only(matrix)
 
 
-def _along(
-    axis: int, start: Optional[int], stop: Optional[int], step: Optional[int] = None
-) -> tuple:
-    """Index tuple selecting ``start:stop:step`` along ``axis``."""
-    return (slice(None),) * axis + (slice(start, stop, step),)
+@lru_cache(maxsize=256)
+def _wrap(n: int, start: int, length: int) -> np.ndarray:
+    """Circular extension index: element ``k`` reads sample ``(start + k) % n``
+    (pads longer than the signal, as for long banks at the deep scales of
+    small images, wrap more than once)."""
+    return _read_only(np.arange(start, start + length) % n)
 
 
-def _extend(x: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
-    """Circular extension of ``x`` along ``axis`` (a fresh array)."""
-    n = x.shape[axis]
-    if before <= n and after <= n:
-        return np.concatenate(
-            (x[_along(axis, n - before, n)], x, x[_along(axis, 0, after)]), axis=axis
-        )
-    # Pads longer than the signal (long banks at deep scales of small
-    # images) wrap more than once.
-    return np.take(x, np.arange(-before, n + after) % n, axis=axis)
-
-
-def _convolve(
-    sources: Sequence[np.ndarray], terms: Tuple[_Term, ...], axis: int, length: int
+def _mac(
+    data: np.ndarray,
+    axis: int,
+    start: int,
+    count: int,
+    matrix: np.ndarray,
+    interleave: bool,
 ) -> np.ndarray:
-    """``sum(c * sum(sources[k][start:start+length]))`` along ``axis``.
+    """One pass's multiply-accumulate along ``axis`` (0 or 1) of 2-D ``data``.
 
-    ``axis`` is the first or the last axis of the equally shaped, C-contiguous
-    ``sources``, and every multiply-add runs on one contiguous flat slice.
-    Along the first axis a shift is a whole number of rows.  Along the last
-    axis the rows are walked as one line of pitch ``L`` and the ``L - length``
-    outputs at the end of each row, which straddle two rows, are dropped.
+    Window ``k < count`` holds samples ``(start + 2*k + w) % n``, ``w < W``,
+    of the circular extension, and output ``(k, f)`` is
+    ``sum_w matrix[f, w] * window[k, w]``: one ``int64`` matmul against the
+    ``(K, W)`` tap matrix.  Along ``axis`` the outputs lie filter-major
+    (``[lo | hi]``) or, with ``interleave``, window-major (``lo0, hi0, ...``).
     """
-    shape = sources[0].shape
-    flat = [source.reshape(-1) for source in sources]
-    size = flat[0].size
+    k, width = matrix.shape
+    index = _wrap(data.shape[axis], start, 2 * count - 2 + width)
+    ext = np.take(data, index, axis=axis)
+    # ``sliding_window_view(ext, width, axis)[::2]``, built straight on the
+    # fresh extension's buffer without that function's per-call checks.
+    s0, s1 = ext.strides
     if axis == 0:
-        pitch = size // shape[0]
-        span = length * pitch
-    else:
-        pitch = 1
-        span = size - (shape[-1] - length)
-    buffer = np.empty(size if axis else span, dtype=np.int64)
-    acc = buffer[:span]
-    scratch = np.empty_like(acc) if len(terms) > 1 else None
-    for n, (stored, slices) in enumerate(terms):
-        dst = acc if n == 0 else scratch
-        segments = [flat[k][s * pitch : s * pitch + span] for k, s in slices]
-        if len(segments) == 1:
-            np.multiply(segments[0], np.int64(stored), out=dst)
+        cols = ext.shape[1]
+        windows = np.ndarray((count, width, cols), ext.dtype, ext, 0, (2 * s0, s0, s1))
+        acc = np.empty((k * count, cols), dtype=np.int64)
+        if interleave:
+            out = acc.reshape(count, k, cols)
         else:
-            np.add(segments[0], segments[1], out=dst)
-            for segment in segments[2:]:
-                dst += segment
-            dst *= np.int64(stored)
-        if n:
-            acc += scratch
-    if axis == 0:
-        return acc.reshape((length,) + shape[1:])
-    return buffer.reshape(shape)[..., :length]
+            out = acc.reshape(k, count, cols).transpose(1, 0, 2)
+        np.matmul(matrix, windows, out=out)
+    else:
+        rows = ext.shape[0]
+        windows = np.ndarray((rows, count, width), ext.dtype, ext, 0, (s0, 2 * s1, s1))
+        acc = np.empty((rows, k * count), dtype=np.int64)
+        if interleave:
+            out = acc.reshape(rows, count, k)
+        else:
+            out = acc.reshape(rows, k, count).transpose(0, 2, 1)
+        np.matmul(windows, matrix.T, out=out)
+    return acc
 
 
 @dataclass
@@ -355,25 +336,18 @@ class FixedPointDWT:
         source_frac: int,
         target: QFormat,
     ) -> np.ndarray:
-        """Decimated analysis along ``axis`` through each of ``filters``.
+        """Decimated analysis along ``axis`` (0 or 1) through each of ``filters``.
 
-        Both phases of ``data`` are extended once and shared by every
-        filter; the outputs lie side by side along ``axis`` (``[lo | hi]``)
-        and are narrowed together (the filters share one coefficient
-        format, hence one alignment shift).
+        One circular extension and one tap matrix serve every filter; the
+        outputs lie side by side along ``axis`` (``[lo | hi]``) and are
+        narrowed together (the filters share one coefficient format, hence
+        one alignment shift).
         """
         n = data.shape[axis]
         if n % 2 != 0:
             raise ValueError(f"signal length {n} must be even")
-        half = n // 2
-        before, after, terms = _analysis_plan(tuple(_filter_key(q) for q in filters))
-        phases = [
-            _extend(data[_along(axis, p, None, 2)], axis, before, after) for p in (0, 1)
-        ]
-        acc = np.concatenate(
-            [_convolve(phases, filter_terms, axis, half) for filter_terms in terms],
-            axis=axis,
-        )
+        first, matrix = _analysis_matrix(tuple(_filter_key(q) for q in filters))
+        acc = _mac(data, axis, first, n // 2, matrix, interleave=False)
         shift = self._shift_amount(
             source_frac + filters[0].fmt.fractional_bits, target.fractional_bits
         )
@@ -381,24 +355,33 @@ class FixedPointDWT:
 
     def _synthesis_pass(
         self,
-        lo: np.ndarray,
-        hi: np.ndarray,
+        z: np.ndarray,
         axis: int,
         source_frac: int,
         target: QFormat,
+        window: Optional[Tuple[int, int, int]] = None,
     ) -> np.ndarray:
-        """One synthesis stage along ``axis``: both phases of the output
-        from one circular extension of each band, narrowed together and
-        interleaved."""
-        half = lo.shape[axis]
-        before, after, terms = _synthesis_plan(
+        """One synthesis stage along ``axis`` (0 or 1) of the interleaved
+        bands ``z`` (``lo0, hi0, lo1, hi1, ...``): both phases of every
+        output from one tap matrix, narrowed together.
+
+        ``window = (z_start, o0, o1)`` makes only outputs ``[o0, o1)`` along
+        axis 0 from a ``z`` that starts at global sample ``z_start``: either
+        all of it (``z_start = 0``), or a slice holding every band sample
+        those outputs draw on, so samples the extension wraps in meet only
+        zero taps of the outputs kept.
+        """
+        m_max, matrix = _synthesis_matrix(
             _filter_key(self._qht), _filter_key(self._qgt)
         )
-        bands = [_extend(lo, axis, before, after), _extend(hi, axis, before, after)]
-        phases = [_convolve(bands, phase_terms, axis, half) for phase_terms in terms]
-        acc = np.stack(phases, axis=axis + 1).reshape(
-            lo.shape[:axis] + (2 * half,) + lo.shape[axis + 1 :]
-        )
+        if window is None:
+            acc = _mac(z, axis, -2 * m_max, z.shape[axis] // 2, matrix, interleave=True)
+        else:
+            z_start, o0, o1 = window
+            j0 = o0 // 2
+            start = 2 * (j0 - m_max) - z_start
+            acc = _mac(z, 0, start, (o1 + 1) // 2 - j0, matrix, interleave=True)
+            acc = acc[o0 - 2 * j0 : o1 - 2 * j0]
         shift = self._shift_amount(
             source_frac + self.plan.coefficient_format.fractional_bits,
             target.fractional_bits,
@@ -414,7 +397,9 @@ class FixedPointDWT:
     ) -> np.ndarray:
         """Decimated analysis convolution along the last axis, in integers."""
         data = np.asarray(data, dtype=np.int64)
-        return self._analysis_pass(data, (qfilt,), data.ndim - 1, source_frac, target)
+        lines = data.reshape(-1, data.shape[-1])
+        out = self._analysis_pass(lines, (qfilt,), 1, source_frac, target)
+        return out.reshape(data.shape[:-1] + (-1,))
 
     def _synthesis_1d(
         self,
@@ -424,37 +409,25 @@ class FixedPointDWT:
         target: QFormat,
     ) -> np.ndarray:
         """One synthesis stage along the last axis, in integers."""
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        return self._synthesis_pass(lo, hi, lo.ndim - 1, source_frac, target)
+        z = np.stack((lo, hi), axis=-1, dtype=np.int64)
+        lines = z.reshape(-1, 2 * z.shape[-2])
+        out = self._synthesis_pass(lines, 1, source_frac, target)
+        return out.reshape(z.shape[:-2] + (-1,))
 
     @staticmethod
-    def _column_bands(
+    def _interleave(
         data: np.ndarray, entry: ScaleDetails, rows: slice = slice(None)
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Low and high inputs of one scale's column synthesis: the halves
-        ``[approx | GH]`` and ``[HG | GG]`` of the Mallat array (detail
-        ``rows`` only)."""
-        lo = np.concatenate((data, entry.gh[rows]), axis=1, dtype=np.int64)
-        hi = np.concatenate((entry.hg[rows], entry.gg[rows]), axis=1, dtype=np.int64)
-        return lo, hi
-
-    def _column_synthesis(
-        self, data: np.ndarray, entry: ScaleDetails, source: QFormat
     ) -> np.ndarray:
-        """Undo one scale's column pass: ``[[approx, GH], [HG, GG]]`` →
-        ``[row_lo | row_hi]``, still in the scale's own format."""
-        lo, hi = self._column_bands(data, entry)
-        return self._synthesis_pass(lo, hi, 0, source.fractional_bits, source)
-
-    def _row_synthesis(
-        self, rows: np.ndarray, source: QFormat, target: QFormat
-    ) -> np.ndarray:
-        """Undo one scale's row pass: ``[row_lo | row_hi]`` → ``target``."""
-        half = rows.shape[1] // 2
-        return self._synthesis_pass(
-            rows[:, :half], rows[:, half:], 1, source.fractional_bits, target
-        )
+        """The polyphase-interleaved input of one scale's synthesis (detail
+        ``rows`` only): ``z[2a, 2b]`` is the approximation, ``z[2a, 2b+1]``
+        GH, ``z[2a+1, 2b]`` HG and ``z[2a+1, 2b+1]`` GG."""
+        h, w = data.shape
+        z = np.empty((h, 2, w, 2), dtype=np.int64)
+        z[:, 0, :, 0] = data
+        z[:, 0, :, 1] = entry.gh[rows]
+        z[:, 1, :, 0] = entry.hg[rows]
+        z[:, 1, :, 1] = entry.gg[rows]
+        return z.reshape(2 * h, 2 * w)
 
     # -- forward -------------------------------------------------------------------
     def forward(self, image: np.ndarray) -> FixedPointPyramid:
@@ -538,10 +511,13 @@ class FixedPointDWT:
         for scale in range(self.scales, at_scale, -1):
             source = self.plan.format_for_scale(scale)
             # Columns were filtered last in the forward pass, so they are
-            # undone first; the rows then land in the coarser format.
-            rows = self._column_synthesis(data, pyramid.details[scale - 1], source)
+            # undone first, into the rows' interleaved input; the rows then
+            # land in the coarser format.
+            frac = source.fractional_bits
+            z = self._interleave(data, pyramid.details[scale - 1])
+            rows = self._synthesis_pass(z, 0, frac, source)
             target = self.plan.format_for_scale(scale - 1)
-            data = self._row_synthesis(rows, source, target)
+            data = self._synthesis_pass(rows, 1, frac, target)
         if at_scale == 0:
             return data
         fmt = self.plan.format_for_scale(at_scale)
@@ -587,39 +563,6 @@ class FixedPointDWT:
             windows.append((lo, hi) if 0 <= lo and hi <= rows else None)
         return windows
 
-    def _synthesis_window(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        source: QFormat,
-        in_start: int,
-        out_window: Tuple[int, int],
-    ) -> np.ndarray:
-        """One column synthesis stage producing only output rows
-        ``[out_window)`` from input rows whose global start index is
-        ``in_start`` (``lo``/``hi`` already sliced to their window).
-
-        Positions are global and unwrapped: the window ladder falls back
-        to the full column synthesis whenever a window clamps, and
-        wraparound contributions exist *only* in that clamped case, so the
-        masked scatter here is exact for every window that reaches it.
-        """
-        half = lo.shape[0]
-        o0, o1 = out_window
-        acc = np.zeros((o1 - o0,) + lo.shape[1:], dtype=np.int64)
-        positions = 2 * (in_start + np.arange(half))
-        for band, qfilt in ((lo, self._qht), (hi, self._qgt)):
-            for idx, stored in qfilt.items():
-                local = positions + idx - o0
-                mask = (local >= 0) & (local < o1 - o0)
-                if mask.any():
-                    np.add.at(acc, local[mask], np.int64(stored) * band[mask])
-        shift = self._shift_amount(
-            source.fractional_bits + self.plan.coefficient_format.fractional_bits,
-            source.fractional_bits,
-        )
-        return self._narrow(acc, shift, source)
-
     def inverse_roi(
         self, pyramid: FixedPointPyramid, y0: int, y1: int
     ) -> np.ndarray:
@@ -649,20 +592,21 @@ class FixedPointDWT:
             data = data[top[0] : top[1]]
         for scale in range(self.scales, 0, -1):
             source = self.plan.format_for_scale(scale)
-            entry = pyramid.details[scale - 1]
+            frac = source.fractional_bits
             in_win, out_win = windows[scale], windows[scale - 1]
+            # A window holds every input row its outputs draw on, unwrapped;
+            # clamped (None), all rows go in and the circular extension
+            # brings the wraparound.  Only the rows the next stage needs
+            # come out.
             if in_win is None:
-                # Clamped somewhere at or above this scale: full vertical
-                # synthesis (wraparound comes from the circular extension),
-                # then keep only the rows the next stage needs.
-                rows = self._column_synthesis(data, entry, source)
-                if out_win is not None:
-                    rows = rows[out_win[0] : out_win[1]]
+                first, rows = 0, slice(None)
             else:
-                lo, hi = self._column_bands(data, entry, slice(*in_win))
-                rows = self._synthesis_window(lo, hi, source, in_win[0], out_win)
+                first, rows = in_win[0], slice(*in_win)
+            z = self._interleave(data, pyramid.details[scale - 1], rows)
+            window = None if out_win is None else (2 * first, *out_win)
+            rows = self._synthesis_pass(z, 0, frac, source, window)
             target = self.plan.format_for_scale(scale - 1)
-            data = self._row_synthesis(rows, source, target)
+            data = self._synthesis_pass(rows, 1, frac, target)
         return data
 
     # -- convenience -----------------------------------------------------------------
@@ -675,7 +619,8 @@ class FixedPointDWT:
 #: Engine cache for :func:`reconstruct_preview` — quantising the synthesis
 #: filters and deriving shift schedules is pure per-(bank, depth) setup, so
 #: one engine per configuration is reused across calls (the same plan-reuse
-#: the codecs get by holding their own engine).
+#: the codecs get by holding their own engine).  An entry holds the bank and
+#: plan it last served and is rebuilt for another bank object or plan.
 _PREVIEW_ENGINES: Dict[Tuple[str, int, str], FixedPointDWT] = {}
 
 
@@ -691,11 +636,12 @@ def reconstruct_preview(
     subbands coarser than ``at_scale`` by stopping the synthesis ladder
     early (:meth:`FixedPointDWT.inverse_preview`), reusing one cached
     engine — quantised synthesis filters, word-length plan, shift
-    schedule — per ``(bank, scales, rounding)`` configuration.
+    schedule — per ``(bank, scales, rounding)`` configuration, built on
+    this bank and the pyramid's own plan.
     """
     key = (bank.name, pyramid.scales, rounding)
     engine = _PREVIEW_ENGINES.get(key)
-    if engine is None:
+    if engine is None or engine.bank is not bank or engine.plan != pyramid.plan:
         engine = FixedPointDWT(
             bank, pyramid.scales, plan=pyramid.plan, rounding=rounding
         )

@@ -10,6 +10,8 @@ per pass), which must not change a single stored word under any rounding
 mode or overflow policy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,86 @@ def test_drawn_images_match_reference(bank_name, scales, aspect, rounding, seed,
     shape = (side * aspect[0], side * aspect[1])
     engine = FixedPointDWT(get_bank(bank_name), scales, rounding=rounding)
     check_engine(engine, image_of(shape, seed, bits), roi_bands=[(0, 1), (shape[0] - 1, shape[0])])
+
+
+def edge_plan(bank, scales, bits, fmt):
+    """A shrunk plan with an input format that admits ``bits``-bit words."""
+    return dataclasses.replace(
+        shrunk_plan(bank, scales, fmt), input_format=QFormat(bits, bits)
+    )
+
+
+def edge_words(shape, seed, bits):
+    """Words at both ends of a ``bits``-bit word, ``±(2**(bits - 1) - 1)``:
+    a run of each sign, then random signs (some windows then meet every
+    tap with its own sign, the largest accumulator the words allow)."""
+    signs = np.random.default_rng(seed).choice((-1, 1), size=shape)
+    signs[: shape[0] // 4] = 1
+    signs[shape[0] // 4 : shape[0] // 2] = -1
+    return signs * np.int64((1 << (bits - 1)) - 1)
+
+
+def assert_words_equal(got, expected):
+    assert np.array_equal(got, expected)
+
+
+def same_outcome(call, reference, check=assert_words_equal):
+    """``call`` raises ``OverflowPolicyError`` exactly when ``reference``
+    does, and otherwise passes ``check``; the reference result or None."""
+    try:
+        expected = reference()
+    except OverflowPolicyError:
+        with pytest.raises(OverflowPolicyError):
+            call()
+        return None
+    check(call(), expected)
+    return expected
+
+
+@pytest.mark.parametrize("fmt", [QFormat(16, 8), QFormat(32, 2)], ids=["Q8.8", "Q2.30"])
+@pytest.mark.parametrize("policy", ["wrap", "saturate", "raise"])
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("bank_name", BANKS)
+def test_edge_words_match_reference(bank_name, bits, policy, fmt):
+    """Words at ±(2**31 - 1) keep every product and sum of the 64-bit
+    accumulator exact; at ±(2**63 - 1) they wrap it modulo 2**64.  Either
+    way the pass kernel must give the reference's words: forward, inverse,
+    every preview scale and row bands, on a shrunk plan under each policy.
+    The second word keeps 30 fractional bits, so the first forward pass
+    narrows without a shift and every low accumulator bit shows."""
+    bank, scales, shape = get_bank(bank_name), 3, (32, 32)
+    plan = edge_plan(bank, scales, bits, fmt)
+    engine = FixedPointDWT(bank, scales, plan=plan, overflow_policy=policy)
+    image = edge_words(shape, 7, bits)
+    same_outcome(
+        lambda: engine.forward(image),
+        lambda: reference_forward(engine, image),
+        check=assert_pyramids_equal,
+    )
+    pyramid = FixedPointPyramid(
+        plan=engine.plan,
+        approximation=edge_words((shape[0] >> scales, shape[1] >> scales), 0, bits),
+        details=[
+            ScaleDetails(
+                scale=s,
+                hg=edge_words((shape[0] >> s, shape[1] >> s), 3 * s, bits),
+                gh=edge_words((shape[0] >> s, shape[1] >> s), 3 * s + 1, bits),
+                gg=edge_words((shape[0] >> s, shape[1] >> s), 3 * s + 2, bits),
+            )
+            for s in range(1, scales + 1)
+        ],
+    )
+    for at_scale in range(1, scales + 1):
+        same_outcome(
+            lambda: engine.inverse_preview(pyramid, at_scale),
+            lambda: reference_inverse(engine, pyramid, at_scale),
+        )
+    full = same_outcome(
+        lambda: engine.inverse(pyramid), lambda: reference_inverse(engine, pyramid)
+    )
+    if full is not None:
+        for y0, y1 in [(0, 3), (10, 14), (shape[0] - 4, shape[0])]:
+            assert np.array_equal(engine.inverse_roi(pyramid, y0, y1), full[y0:y1])
 
 
 class TestWrapPolicy:

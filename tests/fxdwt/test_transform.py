@@ -129,3 +129,41 @@ class TestPyramidAccessors:
         pyramid = FixedPointDWT(bank_f2, 2).forward(ct_image_64)
         float_pyramid = pyramid.to_float_pyramid()
         assert float_pyramid.image_shape == (64, 64)
+
+
+class TestReconstructPreview:
+    """The module-level preview helper caches one engine per bank name,
+    depth and rounding; a pyramid made on another word-length plan, or
+    with another bank of the same name, must still be synthesised with
+    its own plan and taps."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_each_pyramid_previews_with_its_own_plan(self, bank_f2, monkeypatch, order):
+        from repro.fxdwt import transform
+
+        monkeypatch.setattr(transform, "_PREVIEW_ENGINES", {})
+        image = np.random.default_rng(4).integers(0, 4096, size=(32, 32))
+        short = plan_word_lengths(bank_f2, 3, word_length=28)
+        engines = [FixedPointDWT(bank_f2, 3), FixedPointDWT(bank_f2, 3, plan=short)]
+        pyramids = [engine.forward(image) for engine in engines]
+        for at_scale in (1, 2):
+            for which in order:
+                expected = engines[which].inverse_preview(pyramids[which], at_scale)
+                got = transform.reconstruct_preview(pyramids[which], bank_f2, at_scale)
+                assert np.array_equal(got, expected), (which, at_scale)
+
+    def test_a_bank_sharing_a_name_gets_its_own_taps(self, bank_f2, monkeypatch):
+        import dataclasses
+
+        from repro.filters.catalog import get_bank
+        from repro.fxdwt import transform
+
+        monkeypatch.setattr(transform, "_PREVIEW_ENGINES", {})
+        impostor = dataclasses.replace(get_bank("F1"), name=bank_f2.name)
+        plan = plan_word_lengths(bank_f2, 3)
+        image = np.random.default_rng(5).integers(0, 4096, size=(32, 32))
+        for bank in (bank_f2, impostor):
+            engine = FixedPointDWT(bank, 3, plan=plan)
+            pyramid = engine.forward(image)
+            got = transform.reconstruct_preview(pyramid, bank, 1)
+            assert np.array_equal(got, engine.inverse_preview(pyramid, 1)), bank
