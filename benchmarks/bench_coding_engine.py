@@ -1,8 +1,8 @@
 """Micro-benchmarks of the vectorised entropy-coding engine.
 
 Not a paper table: this tracks the throughput of the coding primitives
-(bit packing, Rice, RLE) in Msymbols/s so that the perf trajectory of the
-codec hot path is visible from PR to PR.  Each test times the fast path with
+(Rice, RLE) in Msymbols/s so that the perf trajectory of the codec hot
+path is visible from change to change.  Each test times the fast path with
 pytest-benchmark and writes a JSON record (including the measured speedup
 over the ``*_scalar`` reference implementation, the planar Rice block's
 decode speedup over the legacy interleaved block, the frame-batched
@@ -15,16 +15,15 @@ import time
 import numpy as np
 
 from repro.coding.codec import LosslessWaveletCodec
-from repro.coding.fastbits import pack_bits, pack_uint_fields, unpack_bits
 from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     rice_decode_array,
     rice_decode_planar_blocks,
     rice_decode_scalar,
-    rice_encode,
     rice_encode_planar,
     rice_encode_planar_blocks,
     rice_encode_planar_scalar,
+    rice_encode_scalar,
 )
 from repro.coding.rle import rle_decode, rle_decode_arrays, rle_encode, rle_encode_arrays
 from repro.coding.s_transform import (
@@ -81,28 +80,6 @@ def _record(save_json_record, name, n_symbols, fast_seconds, scalar_seconds):
     )
 
 
-def test_pack_unpack_uint_fields(benchmark, save_json_record):
-    """Variable-width field packing + unpacking throughput."""
-    rng = _rng()
-    widths = rng.integers(1, 17, size=N_SYMBOLS)
-    values = rng.integers(0, 1 << 16, size=N_SYMBOLS) & ((1 << widths) - 1)
-
-    def pack_and_unpack():
-        return unpack_bits(pack_bits(pack_uint_fields(values, widths)))
-
-    bits = benchmark(pack_and_unpack)
-    assert bits.size >= int(widths.sum())
-    _, fast_s = _time_once(pack_and_unpack)
-    save_json_record(
-        "coding_engine_pack",
-        {
-            "symbols": N_SYMBOLS,
-            "fast_seconds": fast_s,
-            "fast_msymbols_per_s": N_SYMBOLS / fast_s / 1e6,
-        },
-    )
-
-
 def test_rice_throughput(benchmark, save_json_record):
     """Rice encode + decode of a geometric source (the codec's workload)."""
     rng = _rng()
@@ -121,8 +98,9 @@ def test_rice_throughput(benchmark, save_json_record):
     assert rice_encode_planar_scalar(symbols) == planar
     # Decode-only layout comparison on the same symbols: the legacy
     # interleaved block (pointer-jumping over its zeros) against the planar
-    # block the codecs write.
-    interleaved = rice_encode(symbols)
+    # block the codecs write.  The interleaved block is minted once, bit by
+    # bit; only its decode is timed.
+    interleaved = rice_encode_scalar(symbols)
     interleaved_out, interleaved_decode_s, planar_out, planar_decode_s = (
         _compare_timings(
             lambda _: rice_decode_array(interleaved),

@@ -3,7 +3,7 @@
 The scalar datapath mirrors the hardware one macro-cycle at a time: one MAC
 window, one FIFO push and one counter step per Python iteration, which makes
 a full image pass O(N²) Python-level work.  This module is the architecture
-model's counterpart of the ``fastbits`` entropy-coding engine: it computes a
+model's counterpart of the vectorised entropy-coding tier: it computes a
 whole line pass — every row or every column of a scale at once — with the
 vectorised periodic-convolution pattern of :mod:`repro.dwt.convolution`,
 while reproducing the scalar model's observable state *exactly*:

@@ -733,8 +733,8 @@ def _serialize_frame_major(stream: CompressedStream) -> bytes:
 
     No production code calls this — frame-major is read-only.  It mints
     read-compat fixtures (real version-1 payloads and archives) for the
-    tests and benchmarks, as :func:`~repro.coding.rice.rice_encode` does for
-    the legacy interleaved Rice blocks.
+    tests and benchmarks, as :func:`~repro.coding.rice.rice_encode_scalar`
+    does for the legacy interleaved Rice blocks.
     """
     spec = spec_for_stream(stream)
     descriptor = _CHUNK[spec.family.uses_bank]

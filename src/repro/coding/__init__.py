@@ -11,10 +11,11 @@ Public API
     Batched end-to-end pipeline over many frames with per-stage timing.
 ``CompressedImage`` / ``CompressedSImage`` / ``SubbandChunk``
     Compressed-stream containers with size/ratio accounting.
-``rice_encode`` / ``rle_encode`` and friends
+``rice_decode`` / ``rle_encode`` and friends
     The underlying entropy-coding primitives.  Every block coder ships a
-    vectorised implementation (built on :mod:`repro.coding.fastbits`) and a
-    bit-by-bit ``*_scalar`` reference producing byte-identical streams.
+    vectorised NumPy implementation and a bit-by-bit ``*_scalar`` reference
+    producing byte-identical streams.  ``rice_encode_scalar`` mints the
+    legacy interleaved Rice layout, which every Rice decoder still reads.
 """
 
 from .bitstream import BitReader, BitWriter
@@ -61,10 +62,7 @@ from .rice import (
     rice_decode,
     rice_decode_array,
     rice_decode_scalar,
-    rice_decode_value,
-    rice_encode,
     rice_encode_scalar,
-    rice_encode_value,
 )
 from .rle import (
     LITERAL,
@@ -130,10 +128,7 @@ __all__ = [
     "rice_decode",
     "rice_decode_array",
     "rice_decode_scalar",
-    "rice_decode_value",
-    "rice_encode",
     "rice_encode_scalar",
-    "rice_encode_value",
     "LITERAL",
     "ZERO_RUN",
     "RleEvent",

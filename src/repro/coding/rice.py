@@ -37,9 +37,9 @@ bit 7 of the first byte:
 * **interleaved** (read-only legacy) —
   ``k (8 bits) | count (32 bits) | Rice codes | zero padding to a byte``,
   each code's unary quotient directly followed by its remainder.
-  :func:`rice_encode` / :func:`rice_encode_scalar` still mint it so the
-  pinned golden vectors and the read-compat tests can reproduce archives
-  written before the planar layout existed.
+  :func:`rice_encode_scalar` (bit by bit) still mints it so the pinned
+  golden vectors and the read-compat tests can reproduce archives written
+  before the planar layout existed.
 
 Every decoder — :func:`rice_decode_planar_blocks` and its one-block calls
 :func:`rice_decode_array` / :func:`rice_decode` (vectorised), and
@@ -53,9 +53,8 @@ shift, so nothing wraps).  The s-transform codec decodes this way; the
 coefficient codec keeps the ``int64`` output.
 The vectorised interleaved decode resolves the "where does the next code
 start" dependency by pointer doubling over the stream's zero positions
-(:func:`~repro.coding.fastbits.orbit`).  The fast and scalar encoders of
-each layout produce **byte-identical** streams, whatever word their
-input arrives in.
+(:func:`_orbit`).  The fast and scalar planar encoders produce
+**byte-identical** streams, whatever word their input arrives in.
 """
 
 from __future__ import annotations
@@ -66,19 +65,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitstream import BitReader, BitWriter
-from .fastbits import (
-    orbit,
-    pack_bits,
-    pack_uint_fields,
-    ragged_arange,
-    read_uint,
-    unpack_bits,
-)
 
 __all__ = [
-    "rice_encode_value",
-    "rice_decode_value",
-    "rice_encode",
     "rice_encode_planar",
     "rice_encode_planar_blocks",
     "rice_encode_planar_flat",
@@ -133,25 +121,6 @@ def _as_symbol_array(symbols) -> np.ndarray:
 def _check_non_negative(arr: np.ndarray) -> None:
     if arr.size and int(arr.min()) < 0:
         raise ValueError("Rice codes encode non-negative integers")
-
-
-def rice_encode_value(writer: BitWriter, value: int, k: int) -> None:
-    """Append the Rice code of one non-negative ``value`` with parameter ``k``."""
-    if value < 0:
-        raise ValueError("Rice codes encode non-negative integers")
-    _check_parameter(k)
-    quotient = value >> k
-    writer.write_unary(quotient)
-    if k:
-        writer.write_uint(value & ((1 << k) - 1), k)
-
-
-def rice_decode_value(reader: BitReader, k: int) -> int:
-    """Read one Rice-coded value with parameter ``k``."""
-    _check_parameter(k)
-    quotient = reader.read_unary()
-    remainder = reader.read_uint(k) if k else 0
-    return (quotient << k) | remainder
 
 
 def rice_code_length(value: int, k: int) -> int:
@@ -499,7 +468,7 @@ def rice_encode_planar(symbols, k: Optional[int] = None) -> bytes:
     block, followed by the remainder plane and the unary plane, each
     zero-padded to a byte.  The remainder plane's size follows from the
     header, so no length field is stored, and the block is at most one
-    byte longer than the interleaved :func:`rice_encode` of the same
+    byte longer than the interleaved :func:`rice_encode_scalar` of the same
     symbols.  A one-block call of :func:`rice_encode_planar_blocks`.
     """
     return rice_encode_planar_blocks([symbols], k)[0]
@@ -770,34 +739,6 @@ def is_planar_block(data) -> bool:
 # Interleaved block coder (read-only legacy layout)
 # ---------------------------------------------------------------------------
 
-def rice_encode(symbols, k: Optional[int] = None) -> bytes:
-    """Encode a block in the legacy interleaved layout.
-
-    The chosen parameter (one byte) and the symbol count (four bytes) are
-    stored in front of the payload so that :func:`rice_decode` is
-    self-contained.  Vectorised: the unary quotients become ragged runs of
-    ones placed with ``np.repeat``, the remainders are filled one bit-plane
-    at a time, and the whole stream is flushed with one ``np.packbits``.
-    Codecs write :func:`rice_encode_planar`; this encoder mints the
-    interleaved streams that archives written before the planar layout
-    hold.
-    """
-    arr, k = _prepare_block(symbols, k)
-    header = pack_uint_fields([k, arr.size], [8, 32])
-    if arr.size == 0:
-        return pack_bits(header)
-    quotients = arr >> k
-    lengths = quotients + 1 + k
-    starts = np.cumsum(lengths) - lengths
-    bits = np.zeros(int(lengths.sum()), dtype=np.uint8)
-    bits[np.repeat(starts, quotients) + ragged_arange(quotients)] = 1
-    if k:
-        base = starts + quotients + 1
-        for plane in range(k):
-            bits[base + plane] = (arr >> (k - 1 - plane)) & 1
-    return pack_bits(np.concatenate([header, bits]))
-
-
 def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
     """Zeros falling inside the ``k`` remainder bits after each zero.
 
@@ -818,13 +759,58 @@ def _skipped_zero_counts(zero_positions: np.ndarray, k: int) -> np.ndarray:
     return skipped
 
 
+#: Block size of the :func:`_orbit` jump table (must be a power of two).
+_ORBIT_BLOCK = 32
+
+
+def _orbit(successor: np.ndarray, start: int, count: int) -> np.ndarray:
+    """First ``count`` iterates of ``t[0] = start, t[i+1] = successor[t[i]]``.
+
+    ``successor`` must map ``[0, n)`` into ``[0, n)``.  The sequential chain
+    is cut with a blocked jump table: ``successor`` is composed with itself
+    ``log2(B)`` times to get the ``B``-fold jump, a short scalar walk places
+    one anchor every ``B`` elements, and the gaps between anchors are filled
+    with ``B`` vectorised gathers — ``O(n log B + count)`` array work instead
+    of ``count`` Python iterations.
+    """
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    successor = np.asarray(successor)
+    if count <= 4 * _ORBIT_BLOCK:
+        out = np.empty(count, dtype=np.int64)
+        position = start
+        for i in range(count):
+            out[i] = position
+            position = int(successor[position])
+        return out
+    # ``take(mode="clip")`` skips numpy's per-element bounds check (and the
+    # int32 -> intp index conversion of fancy indexing); the contract above
+    # guarantees every index is in range, so "clip" never alters a value.
+    block_jump = successor
+    for _ in range(_ORBIT_BLOCK.bit_length() - 1):
+        block_jump = block_jump.take(block_jump, mode="clip")
+    anchor_count = -(-count // _ORBIT_BLOCK)
+    anchors = np.empty(anchor_count, dtype=np.int64)
+    position = start
+    for i in range(anchor_count):
+        anchors[i] = position
+        position = int(block_jump[position])
+    lanes = np.empty((_ORBIT_BLOCK, anchor_count), dtype=np.int64)
+    lanes[0] = anchors
+    current = anchors.astype(successor.dtype, copy=False)
+    for step in range(1, _ORBIT_BLOCK):
+        current = successor.take(current, mode="clip")
+        lanes[step] = current
+    return lanes.T.reshape(-1)[:count]
+
+
 def _decode_interleaved(data, limit: Optional[int] = None) -> np.ndarray:
     """Vectorised decode of an interleaved block.
 
     The sequential "where does the next code start" dependency is solved on
     the stream's zero positions: zero ``j`` terminates a quotient, and the
     zero terminating the *next* quotient has index ``j + 1 + (zeros among the
-    k remainder bits after j)`` — a successor map that :func:`orbit` follows
+    k remainder bits after j)`` — a successor map that :func:`_orbit` follows
     for all symbols at once.
 
     Every code ends in exactly one zero, so a ``count`` larger than the
@@ -833,13 +819,16 @@ def _decode_interleaved(data, limit: Optional[int] = None) -> np.ndarray:
     ``limit`` is checked and sets the output word as in
     :func:`_decode_planar_batch`.
     """
-    bits = unpack_bits(data)
-    k = read_uint(bits, 0, 8)
-    count = read_uint(bits, 8, 32)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size < _HEADER_BYTES:
+        raise EOFError("bitstream exhausted")
+    k = int(raw[0])
     _check_parameter(k)
+    count = int.from_bytes(raw[1:_HEADER_BYTES].tobytes(), "big")
     word = _symbol_word(limit)
     if count == 0:
         return np.zeros(0, dtype=word)
+    bits = np.unpackbits(raw)
     nbits = bits.size
     start = 40
     if start >= nbits:
@@ -864,7 +853,7 @@ def _decode_interleaved(data, limit: Optional[int] = None) -> np.ndarray:
         successor[:nzeros] = np.arange(1, nzeros + 1, dtype=np.int32)
         successor[:nzeros] += _skipped_zero_counts(zero_positions, k)
         successor[nzeros] = nzeros
-        terminator_idx = orbit(successor, first, count)
+        terminator_idx = _orbit(successor, first, count)
         if int(terminator_idx[-1]) >= nzeros:
             raise EOFError("bitstream exhausted")
     terminators = zero_positions[terminator_idx].astype(np.int64)
@@ -922,16 +911,20 @@ def rice_encode_planar_scalar(symbols, k: Optional[int] = None) -> bytes:
 
 
 def rice_encode_scalar(symbols, k: Optional[int] = None) -> bytes:
-    """Bit-by-bit reference encoder; byte-identical to :func:`rice_encode`."""
-    arr = _as_symbol_array(symbols)
-    _check_non_negative(arr)
-    if k is None:
-        k = optimal_rice_parameter(arr)
+    """Encode a block in the legacy interleaved layout, bit by bit.
+
+    The parameter (one byte) and the symbol count (four bytes) head the
+    block, then each symbol's unary quotient directly followed by its
+    ``k`` remainder bits.  Codecs write the planar layout; this encoder
+    mints the interleaved blocks that archives written before it hold.
+    """
+    arr, k = _prepare_block(symbols, k)
     writer = BitWriter()
     writer.write_uint(k, 8)
     writer.write_uint(arr.size, 32)
     for symbol in arr.tolist():
-        rice_encode_value(writer, symbol, k)
+        writer.write_unary(symbol >> k)
+        writer.write_uint(symbol & ((1 << k) - 1), k)
     return writer.getvalue()
 
 
@@ -955,7 +948,10 @@ def rice_decode_scalar(data, limit: Optional[int] = None) -> List[int]:
         reader = BitReader(data)
         k = reader.read_uint(8)
         count = reader.read_uint(32)
-        symbols = [rice_decode_value(reader, k) for _ in range(count)]
+        _check_parameter(k)
+        symbols = [
+            (reader.read_unary() << k) | reader.read_uint(k) for _ in range(count)
+        ]
     if limit is not None and max(symbols, default=0) > limit:
         raise _above_limit(limit)
     return symbols

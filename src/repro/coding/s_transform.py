@@ -419,9 +419,9 @@ class STransformCodec:
     """Compressive lossless codec: integer S-transform + zig-zag + Rice.
 
     ``engine`` selects the entropy-coding implementation tier: ``"fast"``
-    (the vectorised :mod:`repro.coding.fastbits`-based coder) or ``"scalar"``
-    (the bit-by-bit reference).  Both produce byte-identical streams; either
-    engine decodes the other's output.  Resolved by
+    (the vectorised NumPy coder) or ``"scalar"`` (the bit-by-bit reference).
+    Both produce byte-identical streams; either engine decodes the other's
+    output.  Resolved by
     :func:`repro.coding.spec.resolve_engine` (``None``, the default, means
     :func:`~repro.coding.spec.default_engine`).
     """

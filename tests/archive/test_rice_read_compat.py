@@ -4,10 +4,10 @@ Codecs write planar Rice blocks; archives written before the planar layout
 existed hold interleaved ones.  The block layout is self-describing (bit 7
 of its first byte), so no container, payload or codec version tells them
 apart.  These tests mint streams whose chunks are re-encoded with the
-legacy interleaved :func:`rice_encode` — all of them, or every other one
-mixed with planar chunks — store them in both payload layouts, and require
-bit-exact decodes through ``ArchiveReader.decode``, ``read_preview`` and
-``decompress_frames`` under every entropy engine.
+legacy interleaved :func:`rice_encode_scalar` — all of them, or every other
+one mixed with planar chunks — store them in both payload layouts, and
+require bit-exact decodes through ``ArchiveReader.decode``,
+``read_preview`` and ``decompress_frames`` under every entropy engine.
 """
 
 import contextlib
@@ -24,7 +24,11 @@ from repro.archive import (
 )
 from repro.coding import LosslessWaveletCodec, STransformCodec
 from repro.coding.pipeline import CompressedBatch, decompress_frames
-from repro.coding.rice import is_planar_block, rice_decode_array, rice_encode
+from repro.coding.rice import (
+    is_planar_block,
+    rice_decode_array,
+    rice_encode_scalar,
+)
 from repro.imaging import shepp_logan
 
 from legacy_util import frame_major_writes
@@ -45,7 +49,7 @@ CODECS = {
 
 def _interleaved(payload: bytes) -> bytes:
     """The block an encoder predating the planar layout wrote for these symbols."""
-    legacy = rice_encode(rice_decode_array(payload))
+    legacy = rice_encode_scalar(rice_decode_array(payload))
     assert not is_planar_block(legacy)
     return legacy
 

@@ -1,5 +1,6 @@
 """Tests for repro.coding.bitstream."""
 
+import numpy as np
 import pytest
 
 from repro.coding.bitstream import BitReader, BitWriter
@@ -96,3 +97,92 @@ class TestBitReader:
         assert reader.read_uint(16) == 0
         with pytest.raises(EOFError):
             reader.read_uint(16)
+
+
+class TestEdgeWidths:
+    """Zero-width fields, wide (>= 32-bit) fields and empty streams.
+
+    The bit-by-bit legacy Rice minter and decoder read and write every
+    header and remainder field through these two classes.
+    """
+
+    def test_width_zero_reads(self):
+        reader = BitReader(b"\xff")
+        assert reader.read_uint(0) == 0
+        assert reader.bits_remaining == 8
+        reader.read_bits(3)
+        assert reader.read_uint(0) == 0
+        reader.read_bits(5)
+        # Zero bits means no stream access at all, even at the end.
+        assert reader.read_uint(0) == 0
+        assert reader.bits_remaining == 0
+
+    def test_width_zero_write(self):
+        writer = BitWriter()
+        writer.write_uint(0, 0)
+        assert writer.bits_written == 0
+        # A zero-width field can only hold the value 0.
+        with pytest.raises(ValueError):
+            writer.write_uint(1, 0)
+        # Mixed widths: the zero-width field vanishes from the stream.
+        writer.write_uint(9, 4)
+        writer.write_uint(0, 0)
+        assert writer.getvalue() == bytes([0b10010000])
+
+    @pytest.mark.parametrize("width", [32, 40, 57, 62])
+    def test_wide_fields_roundtrip(self, rng, width):
+        values = rng.integers(0, 1 << width, size=8, dtype=np.uint64).tolist()
+        writer = BitWriter()
+        writer.write_bit(1)  # start the fields off a byte boundary
+        for value in values:
+            writer.write_uint(value, width)
+        assert writer.bits_written == 1 + 8 * width
+        reader = BitReader(writer.getvalue())
+        assert reader.read_bit() == 1
+        assert [reader.read_uint(width) for _ in values] == values
+
+    def test_wide_field_overflow_rejected(self):
+        with pytest.raises(ValueError):
+            BitWriter().write_uint(1 << 32, 32)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            BitWriter().write_uint(0, -1)
+        with pytest.raises(ValueError):
+            BitReader(bytes(1)).read_uint(-1)
+
+    def test_empty_stream(self):
+        writer = BitWriter()
+        assert writer.getvalue() == b""
+        assert len(writer) == 0
+        reader = BitReader(b"")
+        assert reader.read_bits(0) == []
+        assert reader.read_uint(0) == 0
+        with pytest.raises(EOFError):
+            reader.read_unary()
+
+    def test_unaligned_uint_past_the_end_raises(self):
+        reader = BitReader(b"\x00")
+        reader.read_bit()
+        with pytest.raises(EOFError):
+            reader.read_uint(16)
+
+
+class TestWriteRun:
+    @pytest.mark.parametrize("lead", [0, 3])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_run_matches_bitwise_writes(self, bit, lead):
+        for count in (0, 1, 5, 8, 13, 21, 64):
+            bulk, bitwise = BitWriter(), BitWriter()
+            for writer in (bulk, bitwise):
+                writer.write_bits([1, 0, 1][:lead])
+            bulk.write_run(bit, count)
+            bitwise.write_bits([bit] * count)
+            assert bulk.getvalue() == bitwise.getvalue()
+            assert bulk.bits_written == bitwise.bits_written == lead + count
+
+    def test_invalid_run_rejected(self):
+        with pytest.raises(ValueError):
+            BitWriter().write_run(2, 4)
+        with pytest.raises(ValueError):
+            BitWriter().write_run(1, -1)

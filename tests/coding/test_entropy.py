@@ -8,7 +8,9 @@ from repro.coding.rice import (
     optimal_rice_parameter,
     rice_code_length,
     rice_decode,
-    rice_encode,
+    rice_encode_planar,
+    rice_encode_planar_scalar,
+    rice_encode_scalar,
 )
 from repro.coding.rle import LITERAL, ZERO_RUN, RleEvent, rle_decode, rle_encode, zero_fraction
 
@@ -72,11 +74,11 @@ class TestRice:
 
     def test_round_trip_fixed_parameter(self):
         symbols = [0, 1, 2, 3, 17, 255, 1024]
-        assert rice_decode(rice_encode(symbols, k=4)) == symbols
+        assert rice_decode(rice_encode_scalar(symbols, k=4)) == symbols
 
     def test_round_trip_optimal_parameter(self, rng):
         symbols = list(rng.geometric(0.05, size=400) - 1)
-        assert rice_decode(rice_encode(symbols)) == symbols
+        assert rice_decode(rice_encode_scalar(symbols)) == symbols
 
     def test_optimal_parameter_tracks_magnitude(self):
         small = optimal_rice_parameter([0, 1, 0, 2, 1])
@@ -88,12 +90,21 @@ class TestRice:
 
     def test_negative_symbols_rejected(self):
         with pytest.raises(ValueError):
-            rice_encode([-1])
+            rice_encode_scalar([-1])
         with pytest.raises(ValueError):
             optimal_rice_parameter([-1])
 
     def test_empty_block_round_trip(self):
-        assert rice_decode(rice_encode([])) == []
+        assert rice_decode(rice_encode_scalar([])) == []
+
+    @pytest.mark.parametrize("symbols", [[], [3]])
+    @pytest.mark.parametrize("k", [-1, 31, 40])
+    def test_parameter_out_of_range_rejected(self, symbols, k):
+        """No encoder writes a block that every decoder rejects."""
+        encoders = (rice_encode_scalar, rice_encode_planar, rice_encode_planar_scalar)
+        for encode in encoders:
+            with pytest.raises(ValueError, match="Rice parameter"):
+                encode(symbols, k=k)
 
 
 class TestFlattenPyramid:

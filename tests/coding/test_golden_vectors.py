@@ -16,7 +16,6 @@ from repro.coding.mapper import zigzag_decode, zigzag_encode
 from repro.coding.rice import (
     rice_decode,
     rice_decode_scalar,
-    rice_encode,
     rice_encode_planar,
     rice_encode_planar_scalar,
     rice_encode_scalar,
@@ -72,7 +71,6 @@ class TestRiceGolden:
     def test_encoders_reproduce_golden_bytes(self, name):
         symbols, k, golden = RICE_VECTORS[name]
         array = np.asarray(symbols, dtype=np.int64)
-        assert rice_encode(array, k=k).hex() == golden
         assert rice_encode_scalar(array, k=k).hex() == golden
 
     @pytest.mark.parametrize("engine", sorted(RICE_DECODERS))
@@ -99,15 +97,15 @@ class TestPlanarRiceGolden:
     @pytest.mark.parametrize("name", sorted(PLANAR_RICE_VECTORS))
     def test_planar_block_at_most_one_byte_longer(self, name):
         symbols, k, golden = PLANAR_RICE_VECTORS[name]
-        interleaved = rice_encode(np.asarray(symbols, dtype=np.int64), k=k)
+        interleaved = rice_encode_scalar(np.asarray(symbols, dtype=np.int64), k=k)
         assert len(interleaved) <= len(bytes.fromhex(golden)) <= len(interleaved) + 1
 
 
 class TestRleGolden:
     def test_encode_reproduces_golden_bytes(self):
         runs, literals = rle_encode_arrays(np.asarray(RLE_VALUES, dtype=np.int64))
-        assert rice_encode(runs).hex() == RLE_RUNS_GOLDEN
-        assert rice_encode(zigzag_encode(literals)).hex() == RLE_LITERALS_GOLDEN
+        assert rice_encode_scalar(runs).hex() == RLE_RUNS_GOLDEN
+        assert rice_encode_scalar(zigzag_encode(literals)).hex() == RLE_LITERALS_GOLDEN
 
     @pytest.mark.parametrize("engine", sorted(RICE_DECODERS))
     def test_every_tier_decodes_golden_bytes(self, engine):

@@ -21,9 +21,9 @@ from repro.coding.rice import (
     rice_decode_array,
     rice_decode_planar_blocks,
     rice_decode_scalar,
-    rice_encode,
     rice_encode_planar,
     rice_encode_planar_blocks,
+    rice_encode_scalar,
 )
 from repro.coding.rle import (
     check_rle_size,
@@ -148,7 +148,7 @@ def test_a_mixed_batch_equals_the_reference_block_by_block():
         rice_encode_planar([]),
         rice_encode_planar(rng.geometric(0.4, size=30) - 1, k=0),
         rice_encode_planar(wide, k=28),
-        rice_encode(rng.geometric(0.3, size=25) - 1, k=2),
+        rice_encode_scalar(rng.geometric(0.3, size=25) - 1, k=2),
         rice_encode_planar(rng.integers(0, 1 << 26, size=13), k=26),
         rice_encode_planar([], k=9),
         rice_encode_planar(rng.integers(0, 1 << 9, size=70), k=9),

@@ -43,12 +43,13 @@ from repro.archive.serialize import (
 from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.rice import (
     PLANAR_FLAG,
+    _orbit,
     rice_decode,
     rice_decode_planar_blocks,
     rice_decode_scalar,
-    rice_encode,
     rice_encode_planar,
     rice_encode_planar_blocks,
+    rice_encode_scalar,
 )
 from repro.coding.s_transform import STransformCodec, _symbol_limit
 from repro.dwt.subbands import check_image_shape
@@ -167,7 +168,7 @@ def _outcome(decoder, block):
 @pytest.mark.parametrize("k", INTERLEAVED_PARAMETERS)
 def test_interleaved_count_one_past_the_terminators(decode, k):
     """Every code ends in one zero: a count above the zeros present fails."""
-    block = rice_encode(_interleaved_symbols(k, 20), k=k)
+    block = rice_encode_scalar(_interleaved_symbols(k, 20), k=k)
     count = _terminators_after_header(block) + 1
     with pytest.raises(EOFError):
         decode(_header(k, count, flag=0) + block[5:])
@@ -176,7 +177,7 @@ def test_interleaved_count_one_past_the_terminators(decode, k):
 @pytest.mark.parametrize("k", INTERLEAVED_PARAMETERS)
 def test_interleaved_smaller_count_decodes_a_prefix(decode, k):
     symbols = _interleaved_symbols(k, 20)
-    block = rice_encode(symbols, k=k)
+    block = rice_encode_scalar(symbols, k=k)
     assert decode(_header(k, 7, flag=0) + block[5:]) == symbols[:7].tolist()
 
 
@@ -197,10 +198,12 @@ def test_interleaved_code_without_its_terminator(decode, k):
         decode(_header(k, 2, flag=0) + payload)
 
 
+@pytest.mark.parametrize("count", [0, 1])
 @pytest.mark.parametrize("k", [31, 64, 127])
-def test_interleaved_parameter_out_of_range(decode, k):
+def test_interleaved_parameter_out_of_range(decode, k, count):
+    """Checked once per block, before any symbol: an empty block too."""
     with pytest.raises(ValueError, match="Rice parameter"):
-        decode(_header(k, 1, flag=0) + bytes(8))
+        decode(_header(k, count, flag=0) + bytes(8))
 
 
 @pytest.mark.parametrize("length", [0, 1, 4])
@@ -217,15 +220,35 @@ def test_interleaved_short_header(decode, length):
 def test_every_interleaved_truncation_agrees_across_tiers(k, size, step):
     """A cut interleaved block is rejected by both tiers or decoded alike —
     the fast tier never walks past the last zero into garbage symbols.
-    600 symbols take the blocked (jump-table) walk of ``orbit``."""
+    600 symbols take the blocked (jump-table) walk of ``_orbit``."""
     symbols = _interleaved_symbols(k, size)
-    block = rice_encode(symbols, k=k)
+    block = rice_encode_scalar(symbols, k=k)
     assert rice_decode(block) == symbols.tolist()
     for cut in range(0, len(block) + 1, step):
         fast = _outcome(rice_decode, block[:cut])
         assert fast == _outcome(rice_decode_scalar, block[:cut]), cut
         if not isinstance(fast, type):
             assert min(fast, default=0) >= 0, cut
+
+
+def test_orbit_matches_scalar_walk(rng):
+    n = 500
+    successor = np.minimum(
+        np.arange(n) + rng.integers(1, 5, size=n), n - 1
+    ).astype(np.int32)
+    for count in (0, 1, 7, 64, 129, 400):
+        expected = []
+        position = 3
+        for _ in range(count):
+            expected.append(position)
+            position = int(successor[position])
+        assert _orbit(successor, 3, count).tolist() == expected
+
+
+def test_orbit_blocked_path():
+    n = 10_000
+    successor = np.minimum(np.arange(n) + 2, n - 1).astype(np.int32)
+    assert _orbit(successor, 0, 4000).tolist() == list(range(0, 8000, 2))
 
 
 # -- Declared bit depth -----------------------------------------------------------------
@@ -236,7 +259,7 @@ LIMITED_DECODERS = {
     "fast": lambda block: rice_decode_planar_blocks([block], LIMIT)[0].tolist(),
     "scalar": lambda block: rice_decode_scalar(block, LIMIT),
 }
-ENCODERS = {"planar": rice_encode_planar, "interleaved": rice_encode}
+ENCODERS = {"planar": rice_encode_planar, "interleaved": rice_encode_scalar}
 #: Parameters around the limit's width (16380 is 14 bits): ``k = 4`` puts
 #: ``LIMIT + 1`` on the limit's own quotient with a larger remainder.
 LIMIT_PARAMETERS = [0, 1, 4, 13, 14, 20]
@@ -284,7 +307,7 @@ def test_the_limited_batch_is_int32_and_equals_the_int64_one():
     rng = np.random.default_rng(17)
     blocks = [rng.integers(0, LIMIT + 1, size=n) for n in (40, 0, 300, 9)]
     blocks.append(np.full(12, LIMIT))
-    payloads = rice_encode_planar_blocks(blocks) + [rice_encode(blocks[0])]
+    payloads = rice_encode_planar_blocks(blocks) + [rice_encode_scalar(blocks[0])]
     wide = rice_decode_planar_blocks(payloads)
     narrow = rice_decode_planar_blocks(payloads, LIMIT)
     assert {block.dtype for block in wide} == {np.dtype(np.int64)}

@@ -23,10 +23,10 @@ from repro.coding.codec import LosslessWaveletCodec
 from repro.coding.rice import (
     is_rice_zero_block,
     rice_decode_array,
-    rice_encode,
     rice_encode_planar,
     rice_encode_planar_blocks,
     rice_encode_planar_scalar,
+    rice_encode_scalar,
     rice_zero_block,
 )
 from repro.imaging.phantoms import ct_slice_series
@@ -213,7 +213,7 @@ def test_a_legacy_interleaved_zero_run_block_still_decodes(stream, image, engine
     for chunk in stream.chunks:
         pixels = chunk.shape[0] * chunk.shape[1]
         if chunk.use_rle and is_rice_zero_block(chunk.run_payload, pixels):
-            block = rice_encode(np.zeros(pixels, dtype=np.int64))
+            block = rice_encode_scalar(np.zeros(pixels, dtype=np.int64))
             legacy = _replace_chunk(legacy, chunk.kind, chunk.scale, run_payload=block)
     assert legacy != stream
     assert np.array_equal(_codec(engine).decode(legacy), image)
